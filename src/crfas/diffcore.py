@@ -5,6 +5,10 @@ convolution, batch normalization, ReLU, max pooling, stop-gradient, and
 the elementwise/reduction/reshaping primitives the loss terms are built
 from. Forward results are plain numpy arrays; gradients are accumulated
 by replaying an explicit tape in reverse execution order.
+
+The convolution, pooling and normalization kernels take channels-last
+(batch, height, width, channels) activations; `split_nchw` hands a
+channels-last batch back as (batch, channels, height, width) tensors.
 """
 from __future__ import annotations
 
@@ -31,10 +35,11 @@ class StateError(RuntimeError):
 class Tensor:
     """A dense n-d array with an optional gradient buffer.
 
-    Pipeline values are 4-D (batch, channels, height, width); parameters
-    and loss scalars use whatever rank they need. Tensors are value-like:
-    nothing in this module mutates `data` after construction except the
-    optimizer, which only touches leaf parameters.
+    Kernel activations are 4-D channels-last (batch, height, width,
+    channels), and the per-view maps the losses read are (batch, channels,
+    height, width); parameters and loss scalars use whatever rank they need.
+    Tensors are value-like: nothing in this module mutates `data` after
+    construction except the optimizer, which only touches leaf parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -128,8 +133,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # first contribution: one copy instead of zeros plus an add
+        t.grad = np.empty(t.data.shape, dtype=t.data.dtype)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _taped(out: Tensor, name: str, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -292,6 +300,34 @@ def gather_batch(a: Tensor, indices: np.ndarray) -> Tensor:
     return _taped(out, "gather_batch", (a,), bwd)
 
 
+def split_nchw(a: Tensor, parts: int) -> list[Tensor]:
+    """Split a channels-last (parts*N, H, W, C) batch into `parts` NCHW tensors of N rows.
+
+    One tape record covers all parts; backward writes each part's gradient
+    back into its rows and leaves the rows of parts without one at zero.
+    """
+    if a.data.ndim != 4 or parts < 1 or a.shape[0] % parts:
+        raise ShapeError(f"split_nchw: cannot split {a.shape} into {parts} equal batches")
+    slabs = a.data.reshape(parts, a.shape[0] // parts, *a.shape[1:])
+    outs = [Tensor(np.ascontiguousarray(s.transpose(0, 3, 1, 2))) for s in slabs]
+
+    def bwd():
+        if all(o.grad is None for o in outs):
+            return
+        g = np.zeros(slabs.shape, dtype=a.dtype)
+        for s, o in enumerate(outs):
+            if o.grad is not None:
+                g[s] = o.grad.transpose(0, 2, 3, 1)
+        _accumulate(a, g.reshape(a.shape))
+
+    tape = _active_tape()
+    if tape is not None and a.requires_grad:
+        for o in outs:
+            o.requires_grad = True
+        tape.record("split_nchw", bwd)
+    return outs
+
+
 def l2_normalize(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
     """Normalize the last axis to unit euclidean norm, flooring the norm at `floor`.
 
@@ -360,27 +396,130 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # convolution / pooling / normalization kernels
+#
+# Pipeline activations are channels-last, (N, H, W, C): every kernel below
+# reduces or multiplies over a contiguous last axis, so a 1x1 convolution
+# is one plain matmul and batch normalization reduces over one axis.
 
 
-def _conv_patches(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    patches = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
+def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of a channels-last batch; always contiguous."""
+    if not padding:
+        return np.ascontiguousarray(x)
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def _shifted_gemm(xp: np.ndarray, taps: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 convolution as k*k GEMMs over the flattened padded image.
+
+    Row r of the flattened input times tap (i, j) contributes to output row
+    r - (i * Wp + j); computing every row of the padded grid and cropping
+    afterwards turns each tap into one GEMM on a contiguous slice.
+    """
+    n, hp, wp, cin = xp.shape
+    k, cout = taps.shape[0], taps.shape[3]
+    xf = xp.reshape(-1, cin)
+    rows = xf.shape[0] - (k - 1) * (wp + 1)
+    acc = np.empty((xf.shape[0], cout), dtype=xp.dtype)
+    np.matmul(xf[:rows], taps[0, 0], out=acc[:rows])
+    acc[rows:] = 0
+    if k > 1:
+        tmp = np.empty((rows, cout), dtype=xp.dtype)
+        for t in range(1, k * k):
+            i, j = divmod(t, k)
+            off = i * wp + j
+            np.matmul(xf[off : off + rows], taps[i, j], out=tmp)
+            acc[:rows] += tmp
+    return acc.reshape(n, hp, wp, cout)[:, :ho, :wo]
+
+
+def _shifted_gemm_grads(xp: np.ndarray, taps: np.ndarray, g: np.ndarray, need_dx: bool):
+    """Tap and padded-input gradients of `_shifted_gemm` for output gradient g."""
+    n, hp, wp, cin = xp.shape
+    k, cout = taps.shape[0], taps.shape[3]
+    ho, wo = g.shape[1:3]
+    if (ho, wo) == (hp, wp):
+        gf = g.reshape(-1, cout)
+    else:
+        gfull = np.zeros((n, hp, wp, cout), dtype=g.dtype)
+        gfull[:, :ho, :wo] = g
+        gf = gfull.reshape(-1, cout)
+    xf = xp.reshape(-1, cin)
+    rows = xf.shape[0] - (k - 1) * (wp + 1)
+    gr = gf[:rows]
+    dtaps = np.empty(taps.shape, dtype=taps.dtype)
+    for t in range(k * k):
+        i, j = divmod(t, k)
+        off = i * wp + j
+        np.matmul(xf[off : off + rows].T, gr, out=dtaps[i, j])
+    if not need_dx:
+        return dtaps, None
+    dxf = np.empty_like(xf)
+    np.matmul(gr, taps[0, 0].T, out=dxf[:rows])
+    dxf[rows:] = 0
+    if k > 1:
+        tmp = np.empty((rows, cin), dtype=xp.dtype)
+        for t in range(1, k * k):
+            i, j = divmod(t, k)
+            off = i * wp + j
+            np.matmul(gr, taps[i, j].T, out=tmp)
+            dxf[off : off + rows] += tmp
+    return dtaps, dxf.reshape(xp.shape)
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Contiguous (N*Ho*Wo, k*k*C) patch matrix, columns ordered (i, j, c)."""
+    n, c = xp.shape[0], xp.shape[3]
+    cols = np.empty((n, ho, wo, k, k, c), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            patches[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return patches
+            cols[:, :, :, i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(-1, k * k * c)
+
+
+def _im2col_grads(cols: np.ndarray, taps: np.ndarray, xp_shape, stride: int, g: np.ndarray, need_dx: bool):
+    """Tap and padded-input gradients of the im2col GEMM for output gradient g."""
+    k, cin, cout = taps.shape[0], taps.shape[2], taps.shape[3]
+    n, ho, wo = g.shape[:3]
+    g2 = g.reshape(-1, cout)
+    dtaps = (cols.T @ g2).reshape(taps.shape)
+    if not need_dx:
+        return dtaps, None
+    dcols = (g2 @ taps.reshape(-1, cout).T).reshape(n, ho, wo, k, k, cin)
+    dxp = np.zeros(xp_shape, dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, i, j]
+    return dtaps, dxp
+
+
+def _channel_sums(a2: np.ndarray) -> np.ndarray:
+    """Column sums of a (rows, C) matrix as one GEMV."""
+    return np.ones(a2.shape[0], dtype=a2.dtype) @ a2
+
+
+def _slab_sums(a3: np.ndarray) -> np.ndarray:
+    """(slabs, C) column sums of a (slabs, rows, C) array, one GEMV per slab."""
+    return np.stack([_channel_sums(slab) for slab in a3])
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation with zero padding on a channels-last batch.
 
-    x: (N, Cin, H, W); weight: (Cout, Cin, k, k); bias: (Cout,) or None.
+    x: (N, H, W, Cin); weight: (Cout, Cin, k, k); bias: (Cout,) or None.
+    Returns (N, Ho, Wo, Cout). Stride-1 convolutions run as k*k shifted
+    GEMMs over the flattened padded image (a 1x1 convolution is a single
+    matmul); strided ones, whose padded grid would be mostly discarded,
+    run as one GEMM on a contiguous im2col matrix.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.shape}")
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-D, got {weight.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     cout, cin, kh, kw = weight.shape
     if kh != kw:
         raise ShapeError(f"conv2d supports square kernels only, got {kh}x{kw}")
@@ -397,12 +536,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    patches = _conv_patches(xp, kh, stride, ho, wo)
-    out_data = np.tensordot(patches, weight.data, axes=([1, 2, 3], [1, 2, 3]))
-    out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
-    if bias is not None:
-        out_data += bias.data.reshape(1, cout, 1, 1)
+    xp = _pad_hw(x.data, padding)
+    # (k, k, Cin, Cout): each tap is a contiguous (Cin, Cout) matrix
+    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0))
+    if stride == 1:
+        cols = None
+        out_data = _shifted_gemm(xp, taps, ho, wo)
+    else:
+        cols = _im2col(xp, kh, stride, ho, wo)
+        out_data = (cols @ taps.reshape(-1, cout)).reshape(n, ho, wo, cout)
+    out_data = out_data + bias.data if bias is not None else np.ascontiguousarray(out_data)
     out = Tensor(out_data)
 
     def bwd():
@@ -410,46 +553,49 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
             return
         g = out.grad
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            _accumulate(weight, np.tensordot(g, patches, axes=([0, 2, 3], [0, 4, 5])))
-        if x.requires_grad:
-            dpatch = np.tensordot(g, weight.data, axes=([1], [0]))  # (N,Ho,Wo,Cin,k,k)
-            dpatch = dpatch.transpose(0, 3, 4, 5, 1, 2)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dpatch[:, :, i, j]
-            if padding:
-                _accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
-            else:
-                _accumulate(x, dxp)
+            _accumulate(bias, _channel_sums(g.reshape(-1, cout)))
+        if not (weight.requires_grad or x.requires_grad):
+            return
+        if cols is None:
+            dtaps, dxp = _shifted_gemm_grads(xp, taps, g, x.requires_grad)
+        else:
+            dtaps, dxp = _im2col_grads(cols, taps, xp.shape, stride, g, x.requires_grad)
+        _accumulate(weight, dtaps.transpose(3, 2, 0, 1))
+        if dxp is not None:
+            _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _taped(out, "conv2d", inputs, bwd)
 
 
 def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Windowed maximum; ties route the gradient to the first index in scan order."""
+    """Windowed maximum over a channels-last batch; ties route the gradient
+    to the first index in scan order (row by row within the window)."""
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d input must be 4-D, got {x.shape}")
     if k != stride:
         raise ShapeError("maxpool2d supports window == stride only")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if h % stride or w % stride:
         raise ShapeError(f"maxpool2d: spatial extents {h}x{w} not divisible by stride {stride}")
     ho, wo = h // k, w // k
-    windows = x.data.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-    argmax = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0])
+    # one contiguous row per window position, in scan order, so that the
+    # comparisons below run over long contiguous rows rather than C-wide runs
+    stack = np.ascontiguousarray(x.data.reshape(n, ho, k, wo, k, c).transpose(2, 4, 0, 1, 3, 5)).reshape(k * k, -1)
+    best = stack.max(axis=0)
+    out = Tensor(best.reshape(n, ho, wo, c))
 
     def bwd():
         if out.grad is None:
             return
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, argmax[..., None], out.grad[..., None], axis=-1)
-        g = gw.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-        _accumulate(x, g)
+        grad = out.grad.reshape(-1)
+        g = np.empty_like(stack)
+        unclaimed = np.ones(best.shape, dtype=bool)
+        for t in range(k * k):
+            first = (stack[t] == best) & unclaimed
+            np.multiply(grad, first, out=g[t])
+            unclaimed &= ~first
+        _accumulate(x, g.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c))
 
     return _taped(out, "maxpool2d", (x,), bwd)
 
@@ -462,65 +608,79 @@ def batchnorm2d(
     mode: str,
     eps: float = 1e-5,
     momentum: float = 0.1,
+    slabs: int = 1,
 ) -> Tensor:
-    """Per-channel batch normalization over the (N, H, W) axes.
+    """Per-channel batch normalization of a channels-last (N, H, W, C) batch.
 
-    Train mode normalizes with batch statistics and folds them into the
-    running statistics (new = (1 - momentum) * old + momentum * batch).
-    Eval mode normalizes with the running statistics and requires them to
-    have been initialized by at least one training step or a checkpoint.
+    Train mode splits the batch into `slabs` equal runs of rows along N and
+    normalizes each over its own (rows, H, W) statistics, folding them into
+    the running statistics one slab after the other (new = (1 - momentum)
+    * old + momentum * slab); a 2N Siamese batch with slabs=2 therefore
+    computes exactly what two single-view calls would. Eval mode
+    normalizes with the running statistics and requires them to have been
+    initialized by at least one training step or a checkpoint.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d input must be 4-D, got {x.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d: affine shapes {gamma.shape}/{beta.shape} do not match {c} channels")
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: unknown mode {mode!r}")
+    if slabs < 1 or n % slabs:
+        raise ShapeError(f"batchnorm2d: batch of {n} does not split into {slabs} equal slabs")
 
     eps = x.dtype.type(eps)
     if mode == "train":
         if n < 1:
             raise ShapeError("batchnorm2d: empty batch in train mode")
-        m = n * h * w
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        state.running_mean = ((1 - momentum) * state.running_mean + momentum * mean).astype(state.running_mean.dtype)
-        state.running_var = ((1 - momentum) * state.running_var + momentum * var).astype(state.running_var.dtype)
+        m = n // slabs * h * w
+        xs = x.data.reshape(slabs, m, c)
+        # reductions run per slab; elementwise work runs on all slabs at once
+        mean = _slab_sums(xs) / m
+        xhat = np.subtract(xs, mean[:, None])
+        var = _slab_sums(xhat * xhat) / m
+        for s in range(slabs):
+            state.running_mean = ((1 - momentum) * state.running_mean + momentum * mean[s]).astype(state.running_mean.dtype)
+            state.running_var = ((1 - momentum) * state.running_var + momentum * var[s]).astype(state.running_var.dtype)
         state.initialized = True
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-        out = Tensor(gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1))
+        xhat *= inv_std[:, None]
+        out_data = xhat * gamma.data
+        out_data += beta.data
+        out = Tensor(out_data.reshape(x.shape))
 
         def bwd():
             if out.grad is None:
                 return
-            g = out.grad
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+            g = out.grad.reshape(slabs, m, c)
+            gx = g * xhat
+            sum_g = _slab_sums(g)
+            sum_gx = _slab_sums(gx)
+            _accumulate(beta, sum_g.sum(axis=0))
+            _accumulate(gamma, sum_gx.sum(axis=0))
             if x.requires_grad:
-                dxhat = g * gamma.data.reshape(1, c, 1, 1)
-                s1 = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                dx = (dxhat - s1 / m - xhat * s2 / m) * inv_std.reshape(1, c, 1, 1)
-                _accumulate(x, dx)
+                dx = g - sum_g[:, None] / m
+                dx -= np.multiply(xhat, sum_gx[:, None] / m, out=gx)
+                dx *= (gamma.data * inv_std)[:, None]
+                _accumulate(x, dx.reshape(x.shape))
 
         return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
 
     if not state.initialized:
         raise StateError("batchnorm2d: eval mode before any running-statistics update; train first or load a checkpoint")
-    inv_std = (1.0 / np.sqrt(state.running_var + eps)).reshape(1, c, 1, 1)
-    xhat = (x.data - state.running_mean.reshape(1, c, 1, 1)) * inv_std
-    out = Tensor(gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1))
+    inv_std = 1.0 / np.sqrt(state.running_var + eps)
+    xhat = (x.data - state.running_mean) * inv_std
+    out = Tensor(gamma.data * xhat + beta.data)
 
     def bwd_eval():
         if out.grad is None:
             return
-        g = out.grad
-        _accumulate(beta, g.sum(axis=(0, 2, 3)))
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+        g2 = out.grad.reshape(-1, c)
+        _accumulate(beta, _channel_sums(g2))
+        _accumulate(gamma, _channel_sums(g2 * xhat.reshape(-1, c)))
         if x.requires_grad:
-            _accumulate(x, g * gamma.data.reshape(1, c, 1, 1) * inv_std)
+            _accumulate(x, out.grad * (gamma.data * inv_std))
 
     return _taped(out, "batchnorm2d", (x, gamma, beta), bwd_eval)
 

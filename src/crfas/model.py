@@ -8,6 +8,11 @@ The projector is three 1x1 Conv-BN(-ReLU) blocks with a linear last block,
 the predictor one 1x1 Conv-BN-ReLU block followed by a single 1x1
 convolution, and the classifier a single 1x1 convolution producing a
 one-channel score map.
+
+Inside the network activations are channels-last (N, H, W, C); the public
+methods take and return (N, C, H, W) tensors and convert at their edges.
+`forward_views` stacks both views into one 2N batch whose batch-norm
+layers normalize each view's N rows with that view's own statistics.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore
-from .diffcore import DTYPES, BNState, ShapeError, Tensor
+from .diffcore import DTYPES, BNState, ShapeError, Tensor, split_nchw, transpose
 
 
 class ConfigError(ValueError):
@@ -25,6 +30,10 @@ class ConfigError(ValueError):
 
 # three stride-2 reductions: one max-pool plus two strided convolutions
 DOWNSAMPLE_FACTOR = 8
+
+# axis orders between the public (N, C, H, W) and the kernels' (N, H, W, C)
+TO_NHWC = (0, 2, 3, 1)
+TO_NCHW = (0, 3, 1, 2)
 
 
 @dataclass
@@ -119,8 +128,8 @@ class BatchNorm2d:
         self.eps = eps
         self.momentum = momentum
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return diffcore.batchnorm2d(x, self.gamma, self.beta, self.state, mode, self.eps, self.momentum)
+    def __call__(self, x: Tensor, mode: str, slabs: int = 1) -> Tensor:
+        return diffcore.batchnorm2d(x, self.gamma, self.beta, self.state, mode, self.eps, self.momentum, slabs)
 
     def named_params(self, prefix: str):
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
@@ -134,8 +143,8 @@ class ConvBNBlock:
         self.bn = BatchNorm2d(cout, dtype=dtype)
         self.with_relu = with_relu
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        out = self.bn(self.conv(x), mode)
+    def __call__(self, x: Tensor, mode: str, slabs: int = 1) -> Tensor:
+        out = self.bn(self.conv(x), mode, slabs)
         return diffcore.relu(out) if self.with_relu else out
 
 
@@ -170,46 +179,66 @@ class SiameseDenseNet:
         self.classifier = Conv2d(rng, d, 1, 1, dtype=dtype)
 
     # forward pieces -------------------------------------------------------
+    # The underscored methods work on channels-last batches of `slabs` views.
 
-    def encode(self, x: Tensor, mode: str) -> Tensor:
-        """Dense encoder: backbone then projector."""
+    def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 4 or x.shape[1] != self.config.in_channels:
             raise ShapeError(f"expected (N, {self.config.in_channels}, H, W) input, got {x.shape}")
         if x.shape[2] != self.config.input_size or x.shape[3] != self.config.input_size:
             raise ShapeError(f"expected {self.config.input_size}px input, got {x.shape}")
+
+    def _encode(self, x: Tensor, mode: str, slabs: int) -> Tensor:
         out = x
         for layer in self.backbone:
             if layer == "pool":
                 out = diffcore.maxpool2d(out, 2, 2)
             else:
-                out = layer(out, mode)
+                out = layer(out, mode, slabs)
         for block in self.projector:
-            out = block(out, mode)
+            out = block(out, mode, slabs)
         return out
 
+    def _predict(self, emb: Tensor, mode: str, slabs: int) -> Tensor:
+        return self.predictor_out(self.predictor_block(emb, mode, slabs))
+
+    def encode(self, x: Tensor, mode: str) -> Tensor:
+        """Dense encoder: backbone then projector, (N, C, H, W) in and out."""
+        self._check_input(x)
+        return transpose(self._encode(transpose(x, TO_NHWC), mode, 1), TO_NCHW)
+
     def predict(self, emb: Tensor, mode: str) -> Tensor:
-        return self.predictor_out(self.predictor_block(emb, mode))
+        return transpose(self._predict(transpose(emb, TO_NHWC), mode, 1), TO_NCHW)
 
     def classify(self, feature_map: Tensor) -> Tensor:
-        return self.classifier(feature_map)
+        return transpose(self.classifier(transpose(feature_map, TO_NHWC)), TO_NCHW)
 
     def forward_views(self, x1: Tensor, x2: Tensor, mode: str) -> ViewOutputs:
-        """Run both views through the shared parameters in one pass."""
+        """Run both views through the shared parameters as one 2N batch.
+
+        The views are stacked along the batch axis and moved to channels-last
+        once; each batch-norm layer normalizes the two N-row slabs with their
+        own statistics, as two separate passes would. The views are network
+        inputs: no gradient flows back into x1 or x2.
+        """
         if x1.shape != x2.shape:
             raise ShapeError(f"views must share a shape, got {x1.shape} vs {x2.shape}")
-        emb1 = self.encode(x1, mode)
-        emb2 = self.encode(x2, mode)
-        pred1 = self.predict(emb1, mode)
-        pred2 = self.predict(emb2, mode)
+        self._check_input(x1)
+        x = Tensor(np.concatenate([x1.data, x2.data]).transpose(TO_NHWC))
+        emb = self._encode(x, mode, 2)
+        pred = self._predict(emb, mode, 2)
+        emb1, emb2 = split_nchw(emb, 2)
+        pred1, pred2 = split_nchw(pred, 2)
+        cls_emb1, cls_emb2 = split_nchw(self.classifier(emb), 2)
+        cls_pred1, cls_pred2 = split_nchw(self.classifier(pred), 2)
         return ViewOutputs(
             emb1=emb1,
             emb2=emb2,
             pred1=pred1,
             pred2=pred2,
-            cls_emb1=self.classify(emb1),
-            cls_emb2=self.classify(emb2),
-            cls_pred1=self.classify(pred1),
-            cls_pred2=self.classify(pred2),
+            cls_emb1=cls_emb1,
+            cls_emb2=cls_emb2,
+            cls_pred1=cls_pred1,
+            cls_pred2=cls_pred2,
         )
 
     # parameter access -----------------------------------------------------
@@ -246,7 +275,3 @@ def build_model(config: ModelConfig, seed: int, dtype: str = "f32") -> SiameseDe
     Training runs in f32 by default; pass dtype="f64" for gradient checks.
     """
     return SiameseDenseNet(config, seed, dtype=DTYPES[dtype])
-
-
-def forward_views(model: SiameseDenseNet, x1: Tensor, x2: Tensor, mode: str) -> ViewOutputs:
-    return model.forward_views(x1, x2, mode)

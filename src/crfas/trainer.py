@@ -158,14 +158,18 @@ class _IndexStream:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.queue: list[int] = []
+        self.order = np.empty(0, dtype=np.intp)
+        self.cursor = 0
 
     def take(self, count: int) -> list[int]:
-        out = []
+        out: list[int] = []
         while len(out) < count:
-            if not self.queue:
-                self.queue = list(self.rng.permutation(self.n))
-            out.append(self.queue.pop(0))
+            if self.cursor == len(self.order):
+                self.order = self.rng.permutation(self.n)
+                self.cursor = 0
+            chunk = self.order[self.cursor : self.cursor + count - len(out)]
+            out.extend(chunk.tolist())
+            self.cursor += len(chunk)
         return out
 
 

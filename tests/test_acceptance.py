@@ -33,6 +33,7 @@ from crfas.diffcore import (
     stop_gradient,
     sub,
     sum_all,
+    transpose,
 )
 from crfas.metrics import ScoredSample, auc, eer_threshold, error_rates, far_frr
 from crfas.model import ModelConfig, ViewOutputs, build_model
@@ -118,15 +119,19 @@ def _kernel_cases(rng):
     def sq(t):
         return mean_all(mul(t, t))
 
+    def nhwc(t):
+        # the kernels take channels-last activations
+        return transpose(t, (0, 2, 3, 1))
+
     return {
-        "conv2d": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(x, w, b, 1, 1))),
-        "conv2d_strided": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(x, w, b, 2, 1))),
+        "conv2d": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(nhwc(x), w, b, 1, 1))),
+        "conv2d_strided": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(nhwc(x), w, b, 2, 1))),
         "batchnorm2d": (
             {"x": x, "gamma": gamma, "beta": beta},
-            lambda: sq(batchnorm2d(x, gamma, beta, BNState.create(2, np.float64), "train")),
+            lambda: sq(batchnorm2d(nhwc(x), gamma, beta, BNState.create(2, np.float64), "train")),
         ),
         "relu": ({"x": x}, lambda: sq(relu(x))),
-        "maxpool2d": ({"pool_in": pool_in}, lambda: sq(maxpool2d(pool_in))),
+        "maxpool2d": ({"pool_in": pool_in}, lambda: sq(maxpool2d(nhwc(pool_in)))),
         "l2_normalize": ({"rows": rows}, lambda: sq(l2_normalize(rows))),
         "stop_gradient": (
             {"x": x, "other": other},

@@ -28,6 +28,20 @@ from crfas.diffcore import (
 )
 
 
+def nhwc(a):
+    """(N, C, H, W) array -> the kernels' channels-last layout."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
+def taped_nhwc(t):
+    """Differentiable move of an (N, C, H, W) tensor to channels-last."""
+    return transpose(t, (0, 2, 3, 1))
+
+
 def conv2d_oracle(x, w, b, stride, padding):
     """Direct six-nested-loop cross-correlation."""
     n, c, h, wdt = x.shape
@@ -76,17 +90,17 @@ class TestConv2d:
         w = np.zeros((3, 3, 1, 1))
         for c in range(3):
             w[c, c, 0, 0] = 1.0
-        out = conv2d(x, Tensor(w), Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(out.data, x.data)
+        out = conv2d(Tensor(nhwc(x.data)), Tensor(w), Tensor(np.zeros(3)))
+        np.testing.assert_array_equal(nchw(out.data), x.data)
 
     def test_zero_weight_gives_bias(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.random((1, 2, 5, 5)))
         w = Tensor(np.zeros((4, 2, 3, 3)))
         b = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-        out = conv2d(x, w, b, padding=1)
+        out = conv2d(Tensor(nhwc(x.data)), w, b, padding=1)
         for c in range(4):
-            np.testing.assert_array_equal(out.data[:, c], np.full((1, 5, 5), b.data[c]))
+            np.testing.assert_array_equal(nchw(out.data)[:, c], np.full((1, 5, 5), b.data[c]))
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1)])
     def test_matches_nested_loop_oracle(self, stride, padding):
@@ -94,7 +108,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        got = nchw(conv2d(Tensor(nhwc(x)), Tensor(w), Tensor(b), stride, padding).data)
         want = conv2d_oracle(x, w, b, stride, padding)
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
@@ -103,19 +117,19 @@ class TestConv2d:
         x = rng.standard_normal((1, 2, 6, 6))
         y = rng.standard_normal((1, 2, 6, 6))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)))
-        combo = conv2d(Tensor(2.5 * x - 1.5 * y), w, None, 1, 1).data
-        parts = 2.5 * conv2d(Tensor(x), w, None, 1, 1).data - 1.5 * conv2d(Tensor(y), w, None, 1, 1).data
+        combo = conv2d(Tensor(nhwc(2.5 * x - 1.5 * y)), w, None, 1, 1).data
+        parts = 2.5 * conv2d(Tensor(nhwc(x)), w, None, 1, 1).data - 1.5 * conv2d(Tensor(nhwc(y)), w, None, 1, 1).data
         np.testing.assert_allclose(combo, parts, rtol=1e-6, atol=1e-9)
 
     def test_channel_mismatch_rejected(self):
-        x = Tensor(np.zeros((1, 2, 4, 4)))
+        x = Tensor(np.zeros((1, 4, 4, 2)))
         w = Tensor(np.zeros((3, 5, 3, 3)))
         with pytest.raises(ShapeError, match="channels"):
             conv2d(x, w)
 
     def test_output_extent_must_be_positive(self):
         with pytest.raises(ShapeError, match="positive"):
-            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 1, 3, 3))))
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
     def test_gradcheck(self, stride, padding):
@@ -125,7 +139,8 @@ class TestConv2d:
         b = Tensor(rng.standard_normal(3), requires_grad=True)
 
         def loss_fn():
-            return mean_all(mul(conv2d(x, w, b, stride, padding), conv2d(x, w, b, stride, padding)))
+            y = conv2d(taped_nhwc(x), w, b, stride, padding)
+            return mean_all(mul(y, y))
 
         report = grad_check(loss_fn, {"x": x, "w": w, "b": b})
         assert report.passed, report.format_lines()
@@ -136,16 +151,16 @@ class TestBatchNorm:
         x = Tensor(np.full((3, 2, 4, 4), 7.0, dtype=np.float32))
         gamma = Tensor(np.ones(2, dtype=np.float32))
         beta = Tensor(np.array([0.5, -1.5], dtype=np.float32))
-        out = batchnorm2d(x, gamma, beta, BNState.create(2), "train")
+        out = batchnorm2d(Tensor(nhwc(x.data)), gamma, beta, BNState.create(2), "train")
         for c in range(2):
-            np.testing.assert_allclose(out.data[:, c], beta.data[c], atol=1e-5)
+            np.testing.assert_allclose(nchw(out.data)[:, c], beta.data[c], atol=1e-5)
 
     def test_standardized_input_passes_through(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 3, 6, 6))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-        out = batchnorm2d(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState.create(3, np.float64), "train")
-        np.testing.assert_allclose(out.data, x, atol=1e-4)
+        out = batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState.create(3, np.float64), "train")
+        np.testing.assert_allclose(nchw(out.data), x, atol=1e-4)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(6)
@@ -153,7 +168,7 @@ class TestBatchNorm:
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
         eps = 1e-5
-        out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), BNState.create(3, np.float64), "train", eps=eps)
+        out = batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), BNState.create(3, np.float64), "train", eps=eps)
         # two-pass: mean first, then variance of residuals
         want = np.empty_like(x)
         for c in range(3):
@@ -161,18 +176,18 @@ class TestBatchNorm:
             mu = vals.sum() / vals.size
             var = ((vals - mu) ** 2).sum() / vals.size
             want[:, c] = gamma[c] * (vals - mu) / np.sqrt(var + eps) + beta[c]
-        np.testing.assert_allclose(out.data, want, rtol=1e-6)
+        np.testing.assert_allclose(nchw(out.data), want, rtol=1e-6)
 
     def test_running_stats_update_rule(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 2, 3, 3))
         state = BNState.create(2, np.float64)
-        batchnorm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, "train")
+        batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, "train")
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_eval_before_train_rejected(self):
-        x = Tensor(np.zeros((1, 2, 4, 4)))
+        x = Tensor(np.zeros((1, 4, 4, 2)))
         with pytest.raises(StateError, match="eval mode before"):
             batchnorm2d(x, Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)), BNState.create(2), "eval")
 
@@ -180,11 +195,45 @@ class TestBatchNorm:
         rng = np.random.default_rng(8)
         state = BNState.create(2, np.float64)
         gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        batchnorm2d(Tensor(rng.standard_normal((4, 2, 3, 3))), gamma, beta, state, "train")
+        batchnorm2d(Tensor(nhwc(rng.standard_normal((4, 2, 3, 3)))), gamma, beta, state, "train")
         x = rng.standard_normal((2, 2, 3, 3))
-        out = batchnorm2d(Tensor(x), gamma, beta, state, "eval")
+        out = batchnorm2d(Tensor(nhwc(x)), gamma, beta, state, "eval")
         want = (x - state.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(state.running_var.reshape(1, 2, 1, 1) + 1e-5)
-        np.testing.assert_allclose(out.data, want, rtol=1e-6)
+        np.testing.assert_allclose(nchw(out.data), want, rtol=1e-6)
+
+    def test_two_slab_call_equals_two_single_view_calls(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((6, 4, 4, 3)) * 2.0 + 0.5
+        weights = rng.standard_normal(x.shape)
+        gamma0, beta0 = rng.standard_normal(3) + 1.0, rng.standard_normal(3)
+
+        def run(slabs):
+            xt = Tensor(x.copy(), requires_grad=True)
+            gamma, beta = Tensor(gamma0.copy(), requires_grad=True), Tensor(beta0.copy(), requires_grad=True)
+            state = BNState.create(3, np.float64)
+            with Tape() as tape:
+                if slabs == 2:
+                    out = batchnorm2d(xt, gamma, beta, state, "train", slabs=2)
+                    loss = sum_all(mul(out, Tensor(weights)))
+                else:
+                    halves = [gather_batch(xt, np.arange(3)), gather_batch(xt, np.arange(3, 6))]
+                    outs = [batchnorm2d(h, gamma, beta, state, "train") for h in halves]
+                    loss = add(
+                        sum_all(mul(outs[0], Tensor(weights[:3]))),
+                        sum_all(mul(outs[1], Tensor(weights[3:]))),
+                    )
+                    out = Tensor(np.concatenate([o.data for o in outs]))
+                for t in (xt, gamma, beta):
+                    t.zero_grad()
+                tape.backward(loss)
+            return out.data, state, xt.grad, gamma.grad, beta.grad
+
+        joint, single = run(2), run(1)
+        np.testing.assert_array_equal(joint[0], single[0])
+        np.testing.assert_array_equal(joint[1].running_mean, single[1].running_mean)
+        np.testing.assert_array_equal(joint[1].running_var, single[1].running_var)
+        for got, want in zip(joint[2:], single[2:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(9)
@@ -195,7 +244,7 @@ class TestBatchNorm:
         target = rng.standard_normal((3, 2, 4, 4))
 
         def loss_fn():
-            out = batchnorm2d(x, gamma, beta, state, "train")
+            out = transpose(batchnorm2d(taped_nhwc(x), gamma, beta, state, "train"), (0, 3, 1, 2))
             d = sub(out, Tensor(target))
             return mean_all(mul(d, d))
 
@@ -212,7 +261,7 @@ class TestReluMaxpool:
 
     def test_maxpool_constant_routes_to_first_index(self):
         x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        backward_of([x], lambda: sum_all(maxpool2d(x)))
+        backward_of([x], lambda: sum_all(maxpool2d(taped_nhwc(x))))
         want = np.zeros((4, 4))
         want[0::2, 0::2] = 1.0  # first element of each 2x2 window in scan order
         np.testing.assert_array_equal(x.grad[0, 0], want)
@@ -220,11 +269,11 @@ class TestReluMaxpool:
     def test_maxpool_matches_window_scan_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 8, 8))
-        np.testing.assert_array_equal(maxpool2d(Tensor(x)).data, maxpool_oracle(x, 2))
+        np.testing.assert_array_equal(nchw(maxpool2d(Tensor(nhwc(x))).data), maxpool_oracle(x, 2))
 
     def test_maxpool_rejects_odd_extent(self):
         with pytest.raises(ShapeError, match="divisible"):
-            maxpool2d(Tensor(np.zeros((1, 1, 5, 4))))
+            maxpool2d(Tensor(np.zeros((1, 5, 4, 1))))
 
     def test_maxpool_gradcheck(self):
         rng = np.random.default_rng(12)
@@ -232,7 +281,7 @@ class TestReluMaxpool:
         x = Tensor(rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8) * 0.1, requires_grad=True)
 
         def loss_fn():
-            y = maxpool2d(x)
+            y = maxpool2d(taped_nhwc(x))
             return mean_all(mul(y, y))
 
         report = grad_check(loss_fn, {"x": x})
@@ -332,8 +381,8 @@ class TestTapeAndGradCheck:
         rng = np.random.default_rng(20)
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
-        a = conv2d(Tensor(x), Tensor(w), None, 1, 1).data
-        b = conv2d(Tensor(x), Tensor(w), None, 1, 1).data
+        a = conv2d(Tensor(nhwc(x)), Tensor(w), None, 1, 1).data
+        b = conv2d(Tensor(nhwc(x)), Tensor(w), None, 1, 1).data
         np.testing.assert_array_equal(a, b)
 
     def test_reverse_order_replay(self):

@@ -6,11 +6,12 @@ import pytest
 
 from crfas.augment import AugmentConfig
 from crfas.data import SplitSpec, SynthConfig, generate_synthetic, split
-from crfas.diffcore import Tensor
+from crfas.diffcore import Tape, Tensor
 from crfas.losses import loss_overall
 from crfas.model import ModelConfig, build_model
 from crfas.trainer import (
     CheckpointError,
+    _IndexStream,
     MomentumSGD,
     TrainConfig,
     evaluate,
@@ -109,6 +110,23 @@ class TestTrainStep:
             values.append(bundle.l_overall)
         assert abs(values[0] - values[1]) <= 1e-12
 
+    def test_step_records_fewer_tape_ops_than_two_view_passes(self, monkeypatch):
+        # two separate view passes recorded 103 ops at this shape; the 2N
+        # batch records each layer once
+        recorded = []
+        backward = Tape.backward
+
+        def counting_backward(tape, loss):
+            recorded.append(len(tape))
+            backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        model = build_model(TINY_MODEL, seed=4)
+        config = tiny_config()
+        optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
+        train_step(model, tiny_batch(np.random.default_rng(4)), config, 0, 10, optimizer)
+        assert len(recorded) == 1 and recorded[0] < 103
+
     def test_weight_decay_shrinks_without_gradient(self):
         model = build_model(TINY_MODEL, seed=3)
         params = model.named_params()
@@ -128,6 +146,29 @@ class TestTrainStep:
         before = gamma.data.copy()
         optimizer.step(lr=1.0)
         np.testing.assert_array_equal(gamma.data, before)
+
+
+class TestIndexStream:
+    @staticmethod
+    def pop_front_oracle(n, seed, counts):
+        """The list.pop(0) queue the stream replaced."""
+        rng = np.random.default_rng(seed)
+        queue, taken = [], []
+        for count in counts:
+            out = []
+            while len(out) < count:
+                if not queue:
+                    queue = list(rng.permutation(n))
+                out.append(queue.pop(0))
+            taken.append([int(i) for i in out])
+        return taken
+
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    def test_same_sequence_as_pop_front_queue(self, n):
+        # counts both below and far above n, so takes wrap across several passes
+        counts = [3, 1, 12, 0, 7, 20, 2, 5]
+        stream = _IndexStream(n, np.random.default_rng(11))
+        assert [stream.take(c) for c in counts] == self.pop_front_oracle(n, 11, counts)
 
 
 class TestFitAndEvaluate:
