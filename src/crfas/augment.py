@@ -9,7 +9,7 @@ so the tile shuffle runs last and earlier draws do not depend on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,37 +34,25 @@ class AugmentConfig:
     blur: bool = False
     blur_sigma: float = 1.0
 
+    # echoed into every config so a reader can check which pipeline it
+    # describes; not settable, and a read order must equal this one
+    order: tuple[str, ...] = field(default=PIPELINE_ORDER, init=False)
+
     def validate(self, side: int) -> None:
+        if self.psa_grid < 1:
+            raise ValueError(f"psa_grid must be >= 1, got {self.psa_grid}")
         if self.psa and side % self.psa_grid:
             raise ValueError(f"image side {side} not divisible by patch grid {self.psa_grid}")
         if not (0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0):
             raise ValueError(f"bad crop scale range {self.crop_scale}")
-
-    def to_dict(self) -> dict:
-        return {
-            "order": list(PIPELINE_ORDER),
-            "crop": self.crop, "crop_scale": list(self.crop_scale),
-            "color": self.color, "color_mult": self.color_mult, "color_add": self.color_add,
-            "flip": self.flip, "flip_p": self.flip_p,
-            "cutout": self.cutout, "cutout_frac": self.cutout_frac, "cutout_fill": self.cutout_fill,
-            "psa": self.psa, "psa_grid": self.psa_grid,
-            "blur": self.blur, "blur_sigma": self.blur_sigma,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AugmentConfig":
-        cfg = AugmentConfig()
-        for key, value in d.items():
-            if key == "order":
-                if tuple(value) != PIPELINE_ORDER:
-                    raise ValueError(f"config pipeline order {value} does not match {list(PIPELINE_ORDER)}")
-                continue
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown augment field {key!r}")
-            if key == "crop_scale":
-                value = tuple(float(v) for v in value)
-            setattr(cfg, key, value)
-        return cfg
+        # keeps the color multiplier 1 + U(-m, m) positive
+        if not 0.0 <= self.color_mult < 1.0:
+            raise ValueError(f"color_mult must be in [0, 1), got {self.color_mult}")
+        if self.color_add < 0.0:
+            raise ValueError(f"color_add must be >= 0, got {self.color_add}")
+        for name in ("flip_p", "cutout_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def patch_shuffle(image: np.ndarray, g: int, perm: np.ndarray) -> np.ndarray:
@@ -128,18 +116,15 @@ def _bilinear_resize(image: np.ndarray, out_side: int) -> np.ndarray:
     return (top * (1 - wy) + bot * wy).astype(image.dtype)
 
 
-def random_crop_flip(image: np.ndarray, crop_box: tuple[int, int, int], flip: bool) -> np.ndarray:
-    """Crop (top, left, side), resize back to the input size, optionally mirror."""
+def crop_resize(image: np.ndarray, crop_box: tuple[int, int, int]) -> np.ndarray:
+    """Crop (top, left, side) and resize back to the input size."""
     c, h, w = image.shape
     if h != w:
         raise ValueError(f"crop expects a square image, got {h}x{w}")
     top, left, side = crop_box
     if side < 1 or top < 0 or left < 0 or top + side > h or left + side > w:
         raise ValueError(f"crop box {crop_box} outside {h}x{w} image")
-    out = _bilinear_resize(image[:, top : top + side, left : left + side], h)
-    if flip:
-        out = out[:, :, ::-1]
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(_bilinear_resize(image[:, top : top + side, left : left + side], h))
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -182,7 +167,7 @@ def compose_views(
             side = max(1, min(h, side))
             top = int(rng.integers(0, h - side + 1))
             left = int(rng.integers(0, w - side + 1))
-            out = random_crop_flip(out, (top, left, side), flip=False)
+            out = crop_resize(out, (top, left, side))
         if config.color:
             mult = 1.0 + rng.uniform(-config.color_mult, config.color_mult)
             offset = rng.uniform(-config.color_add, config.color_add)

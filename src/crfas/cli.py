@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as dat
 from . import losses, trainer
-from .augment import compose_views
+from .config import from_dict, to_dict
 from .diffcore import Tensor, grad_check
 from .model import ModelConfig, build_model
 
@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-dataset", help="protocols 3 and 4")
     p.add_argument("--unlabeled-attack", help="protocol 5")
     p.add_argument("--test-attack", help="protocol 5")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train on a split directory")
     p.add_argument("--split-dir", required=True, type=Path, help="directory written by the split command")
@@ -59,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--supervised-only", action="store_true", help="ignore the unlabeled list")
-    p.add_argument("--dump-views", action="store_true", help="write the first batch's two views as images")
+    p.add_argument("--dump-views", action="store_true",
+                   help="write both views of every row of the first training batch as images")
 
     p = sub.add_parser("eval", help="score a test manifest from a checkpoint")
     p.add_argument("--checkpoint", required=True, type=Path)
@@ -94,7 +94,7 @@ def _cmd_synth(args) -> int:
         overlay_amp=args.overlay,
     )
     records = dat.generate_synthetic(cfg, args.out)
-    (args.out / "synth_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    (args.out / "synth_config.json").write_text(json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(records)} images under {args.out}")
     return 0
 
@@ -116,12 +116,11 @@ def _cmd_split(args) -> int:
         params["unlabeled_attack"] = args.unlabeled_attack
     if args.test_attack is not None:
         params["test_attack"] = args.test_attack
-    spec = dat.SplitSpec(protocol=args.protocol, params=params, seed=args.seed)
-    result = dat.split(records, spec)
-    provenance = {"protocol": args.protocol, "params": json.dumps(params, sort_keys=True), "seed": args.seed}
+    result = dat.split(records, dat.SplitSpec(protocol=args.protocol, params=params))
+    provenance = {"protocol": args.protocol, "params": json.dumps(params, sort_keys=True)}
     paths = dat.write_split(result, args.out, provenance)
     (args.out / "split_config.json").write_text(
-        json.dumps({"protocol": args.protocol, "params": params, "seed": args.seed}, indent=2, sort_keys=True) + "\n"
+        json.dumps({"protocol": args.protocol, "params": params}, indent=2, sort_keys=True) + "\n"
     )
     for key, records_ in result.lists().items():
         print(f"{key}: {len(records_)} records -> {paths[key]}")
@@ -130,13 +129,14 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     if args.config is not None:
-        config = trainer.TrainConfig.from_dict(json.loads(args.config.read_text()))
+        config = from_dict(trainer.TrainConfig, json.loads(args.config.read_text()))
     else:
         config = trainer.TrainConfig()
     for flag, attr in (("epochs", "epochs"), ("batch_size", "batch_size"), ("seed", "seed"), ("alpha", "alpha")):
         value = getattr(args, flag)
         if value is not None:
             setattr(config, attr, value)
+    config.validate()
     split_result = dat.SplitResult(
         labeled_train=dat.read_manifest(args.split_dir / "labeled.train.txt"),
         unlabeled_train=dat.read_manifest(args.split_dir / "unlabeled.train.txt"),
@@ -147,11 +147,9 @@ def _cmd_train(args) -> int:
         split_result.unlabeled_train = []
     if args.dump_views:
         args.out.mkdir(parents=True, exist_ok=True)
-        first_batch = split_result.labeled_train[: config.batch_size]
-        for index, record in enumerate(first_batch):
-            img = dat.load_image(record, args.data_root, config.dtype).data[0]
-            v1, v2 = compose_views(img, config.augment, config.seed, index)
-            for tag, view in (("view1", v1), ("view2", v2)):
+        x1, x2, _, _ = next(trainer.training_batches(split_result, config, args.data_root))
+        for tag, views in (("view1", x1), ("view2", x2)):
+            for index, view in enumerate(views.data):
                 pixels = np.clip(np.round(view.transpose(1, 2, 0) * 255), 0, 255).astype(np.uint8)
                 dat.write_image(args.out / f"debug_{tag}_{index:03d}.fimg", pixels)
     model = build_model(config.model, config.seed, config.dtype)

@@ -78,7 +78,6 @@ class ManifestRecord:
 class SplitSpec:
     protocol: int
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     _ALLOWED = {
         1: {"label_fraction"},
@@ -238,13 +237,6 @@ class SynthConfig:
                 raise ValueError(f"bad attack type {a!r}")
         if self.subjects < 1 or self.sessions < 1 or self.per_cell < 1 or self.side < 8:
             raise ValueError("counts must be positive and side >= 8")
-
-    def to_dict(self) -> dict:
-        return {
-            "subjects": self.subjects, "sessions": self.sessions, "attacks": list(self.attacks),
-            "per_cell": self.per_cell, "side": self.side, "datasets": list(self.datasets),
-            "seed": self.seed, "noise_std": self.noise_std, "overlay_amp": self.overlay_amp,
-        }
 
 
 def _render_image(cfg: SynthConfig, d_index: int, subject: int, session: int, attack: str, rep: int) -> np.ndarray:

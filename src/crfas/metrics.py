@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor
-
 
 @dataclass(frozen=True)
 class ScoredSample:
@@ -40,13 +38,6 @@ class ErrorRates:
     bpcer: float
     acer: float
     apcer_by_type: dict[str, float]
-
-
-def spoof_score(score_map: Tensor) -> float:
-    """Mean of a single-sample (1, 1, s, s) classifier map."""
-    if score_map.data.ndim != 4 or score_map.shape[0] != 1 or score_map.shape[1] != 1:
-        raise ValueError(f"expected a (1, 1, s, s) map, got {score_map.shape}")
-    return float(score_map.data.mean())
 
 
 def _split_classes(samples: list[ScoredSample]):

@@ -21,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore
+from .config import ConfigError
 from .diffcore import DTYPES, BNState, ShapeError, Tensor, split_nchw, transpose
-
-
-class ConfigError(ValueError):
-    """Raised when a model configuration cannot produce the requested geometry."""
 
 
 # three stride-2 reductions: one max-pool plus two strided convolutions
@@ -56,25 +53,6 @@ class ModelConfig:
             )
         if self.feature_side < 1 or self.embed_dim < 1:
             raise ConfigError("feature side and embedding dim must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "in_channels": self.in_channels,
-            "backbone_channels": list(self.backbone_channels),
-            "feature_side": self.feature_side,
-            "embed_dim": self.embed_dim,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            input_size=int(d["input_size"]),
-            in_channels=int(d["in_channels"]),
-            backbone_channels=tuple(int(c) for c in d["backbone_channels"]),
-            feature_side=int(d["feature_side"]),
-            embed_dim=int(d["embed_dim"]),
-        )
 
 
 @dataclass

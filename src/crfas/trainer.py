@@ -18,6 +18,7 @@ import numpy as np
 
 from . import losses
 from .augment import AugmentConfig, compose_views
+from .config import ConfigError, from_dict, to_dict
 from .data import ManifestRecord, SplitResult, load_image
 from .diffcore import DTYPES, Tape, Tensor
 from .metrics import ScoredSample, auc, eer_threshold, error_rates, hter, write_scores, write_summary
@@ -52,37 +53,7 @@ class TrainConfig:
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
         self.model.validate()
-
-    def to_dict(self) -> dict:
-        return {
-            "base_lr_start": self.base_lr_start,
-            "base_lr_end": self.base_lr_end,
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "alpha": self.alpha,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "labeled_fraction_per_batch": self.labeled_fraction_per_batch,
-            "dtype": self.dtype,
-            "decay_bn_params": self.decay_bn_params,
-            "model": self.model.to_dict(),
-            "augment": self.augment.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        cfg = TrainConfig()
-        for key, value in d.items():
-            if key == "model":
-                cfg.model = ModelConfig.from_dict(value)
-            elif key == "augment":
-                cfg.augment = AugmentConfig.from_dict(value)
-            elif hasattr(cfg, key):
-                setattr(cfg, key, value)
-            else:
-                raise ValueError(f"unknown train config field {key!r}")
-        return cfg
+        self.augment.validate(self.model.input_size)
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -180,6 +151,46 @@ def _format_loss_line(step: int, bundle: losses.LossBundle, lr: float) -> str:
     )
 
 
+def _batch_layout(split: SplitResult, config: TrainConfig) -> tuple[int, int, int]:
+    """Labeled rows, unlabeled rows and steps per epoch of every training batch."""
+    if not split.labeled_train:
+        raise ValueError("labeled_train is empty")
+    n_lab = config.batch_size
+    if split.unlabeled_train:
+        n_lab = min(max(1, round(config.labeled_fraction_per_batch * config.batch_size)), config.batch_size)
+    return n_lab, config.batch_size - n_lab, max(1, math.ceil(len(split.labeled_train) / n_lab))
+
+
+def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
+    """Yield the `(x1, x2, labels, mask)` batch of every training step, in order.
+
+    A batch holds its labeled rows, then its unlabeled rows, each drawn from
+    an endless per-list shuffled stream. The two views of the row at
+    `position` in step `step` are keyed on the epoch's seed and
+    `step * batch_size + position`. `fit` trains on exactly these batches,
+    and `crfas train --dump-views` writes the first one.
+    """
+    n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
+    labeled, unlabeled = split.labeled_train, split.unlabeled_train
+    images = {
+        (r.dataset_id, r.path): load_image(r, data_root, config.dtype).data[0]
+        for r in (*labeled, *unlabeled)
+    }
+    lab_stream = _IndexStream(len(labeled), np.random.default_rng(np.random.SeedSequence((config.seed, 1))))
+    unl_stream = _IndexStream(len(unlabeled), np.random.default_rng(np.random.SeedSequence((config.seed, 2))))
+    for step in range(config.epochs * steps_per_epoch):
+        view_seed = _epoch_seed(config.seed, step // steps_per_epoch)
+        first_id = step * config.batch_size
+        rows = [labeled[i] for i in lab_stream.take(n_lab)] + [unlabeled[i] for i in unl_stream.take(n_unl)]
+        views = [
+            compose_views(images[(r.dataset_id, r.path)], config.augment, view_seed, first_id + position)
+            for position, r in enumerate(rows)
+        ]
+        x1, x2 = (Tensor(np.stack(v)) for v in zip(*views))
+        labels = np.array([1 if r.label == "spoof" else 0 for r in rows[:n_lab]])
+        yield x1, x2, labels, np.arange(len(rows)) < n_lab
+
+
 def fit(model: SiameseDenseNet, split: SplitResult, config: TrainConfig, out_dir: Path, data_root: Path) -> Path:
     """Train over the split; returns the path of the final checkpoint.
 
@@ -187,58 +198,22 @@ def fit(model: SiameseDenseNet, split: SplitResult, config: TrainConfig, out_dir
     step, and a checkpoint per epoch plus `checkpoint.ckpt` for the last.
     """
     config.validate()
-    if not split.labeled_train:
-        raise ValueError("labeled_train is empty")
+    _, _, steps_per_epoch = _batch_layout(split, config)
+    total_steps = config.epochs * steps_per_epoch
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    labeled = split.labeled_train
-    unlabeled = split.unlabeled_train
-    images = {
-        (r.dataset_id, r.path): load_image(r, data_root, config.dtype).data[0]
-        for r in (*labeled, *unlabeled)
-    }
-
-    if unlabeled:
-        n_lab = max(1, round(config.labeled_fraction_per_batch * config.batch_size))
-        n_lab = min(n_lab, config.batch_size)
-        n_unl = config.batch_size - n_lab
-    else:
-        n_lab, n_unl = config.batch_size, 0
-    steps_per_epoch = max(1, math.ceil(len(labeled) / n_lab))
-    total_steps = config.epochs * steps_per_epoch
-
-    lab_stream = _IndexStream(len(labeled), np.random.default_rng(np.random.SeedSequence((config.seed, 1))))
-    unl_stream = _IndexStream(len(unlabeled), np.random.default_rng(np.random.SeedSequence((config.seed, 2)))) if unlabeled else None
+    (out_dir / "config.json").write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
 
     optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay, config.decay_bn_params)
-    step = 0
-    final_path = out_dir / "checkpoint.ckpt"
     with open(out_dir / "train.log", "w") as log:
-        log.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
-        for epoch in range(config.epochs):
-            view_seed = _epoch_seed(config.seed, epoch)
-            for _ in range(steps_per_epoch):
-                chosen = [(labeled[i], True) for i in lab_stream.take(n_lab)]
-                if n_unl:
-                    chosen += [(unlabeled[i], False) for i in unl_stream.take(n_unl)]
-                v1, v2, labels, mask = [], [], [], []
-                for position, (record, is_labeled) in enumerate(chosen):
-                    sample_id = step * config.batch_size + position
-                    a, b = compose_views(images[(record.dataset_id, record.path)], config.augment, view_seed, sample_id)
-                    v1.append(a)
-                    v2.append(b)
-                    mask.append(is_labeled)
-                    if is_labeled:
-                        labels.append(1 if record.label == "spoof" else 0)
-                x1 = Tensor(np.stack(v1))
-                x2 = Tensor(np.stack(v2))
-                bundle = train_step(model, (x1, x2, np.array(labels), np.array(mask)), config, step, total_steps, optimizer)
-                log.write(_format_loss_line(step, bundle, lr_at(step, total_steps, config)) + "\n")
-                log.flush()
-                step += 1
-            save_checkpoint(model, out_dir / f"checkpoint_ep{epoch:03d}.ckpt")
+        log.write(f"# config {json.dumps(to_dict(config), sort_keys=True)}\n")
+        for step, batch in enumerate(training_batches(split, config, data_root)):
+            bundle = train_step(model, batch, config, step, total_steps, optimizer)
+            log.write(_format_loss_line(step, bundle, lr_at(step, total_steps, config)) + "\n")
+            log.flush()
+            if (step + 1) % steps_per_epoch == 0:
+                save_checkpoint(model, out_dir / f"checkpoint_ep{step // steps_per_epoch:03d}.ckpt")
+    final_path = out_dir / "checkpoint.ckpt"
     shutil.copyfile(out_dir / f"checkpoint_ep{config.epochs - 1:03d}.ckpt", final_path)
     return final_path
 
@@ -260,9 +235,25 @@ def _checkpoint_entries(model: SiameseDenseNet):
     return [(name, t.data if isinstance(t, Tensor) else t) for name, t in entries]
 
 
+def _arch_json(config: ModelConfig) -> str:
+    return json.dumps(to_dict(config), sort_keys=True)
+
+
+def _read_arch(path: Path, text: str) -> ModelConfig:
+    """Rebuild the model config echoed in an `arch` line; it must echo back as the same text."""
+    try:
+        config = from_dict(ModelConfig, json.loads(text))
+        config.validate()
+    except (json.JSONDecodeError, ConfigError) as e:
+        raise CheckpointError(f"{path}: bad arch line: {e}") from e
+    if _arch_json(config) != text:
+        raise CheckpointError(f"{path}: arch line {text} does not echo back as itself: {_arch_json(config)}")
+    return config
+
+
 def save_checkpoint(model: SiameseDenseNet, path: Path) -> None:
     entries = _checkpoint_entries(model)
-    header = [_CKPT_MAGIC, f"arch {json.dumps(model.config.to_dict(), sort_keys=True)}"]
+    header = [_CKPT_MAGIC, f"arch {_arch_json(model.config)}"]
     offset = 0
     blobs = []
     for name, arr in entries:
@@ -297,7 +288,7 @@ def _parse_checkpoint(path: Path):
     table = []
     for line in header[1:-1]:
         if line.startswith("arch "):
-            arch = json.loads(line[5:])
+            arch = _read_arch(path, line[5:])
         elif line.startswith("tensor "):
             _, name, tag, dims, offset = line.split()
             shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
@@ -319,7 +310,7 @@ def load_checkpoint(path: Path, model: SiameseDenseNet | None = None) -> Siamese
     arch, table, data = _parse_checkpoint(path)
     if model is None:
         dtype = "f64" if (table and table[0][1] == "f64") else "f32"
-        model = build_model(ModelConfig.from_dict(arch), seed=0, dtype=dtype)
+        model = build_model(arch, seed=0, dtype=dtype)
     expected = dict(_checkpoint_entries(model))
     file_names = [name for name, *_ in table]
     problems = []

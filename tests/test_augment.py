@@ -6,9 +6,9 @@ from crfas.augment import (
     AugmentConfig,
     color_jitter,
     compose_views,
+    crop_resize,
     cutout,
     patch_shuffle,
-    random_crop_flip,
 )
 
 
@@ -89,18 +89,11 @@ class TestBasicOps:
     def test_full_crop_is_noop(self):
         rng = np.random.default_rng(6)
         img = rand_image(rng)
-        np.testing.assert_array_equal(random_crop_flip(img, (0, 0, 24), flip=False), img)
-
-    def test_double_flip_restores(self):
-        rng = np.random.default_rng(7)
-        img = rand_image(rng)
-        once = random_crop_flip(img, (0, 0, 24), flip=True)
-        twice = random_crop_flip(once, (0, 0, 24), flip=True)
-        np.testing.assert_array_equal(twice, img)
+        np.testing.assert_array_equal(crop_resize(img, (0, 0, 24)), img)
 
     def test_crop_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="crop box"):
-            random_crop_flip(np.zeros((3, 24, 24)), (10, 10, 20), flip=False)
+            crop_resize(np.zeros((3, 24, 24)), (10, 10, 20))
 
 
 class TestComposeViews:
@@ -150,3 +143,27 @@ class TestComposeViews:
     def test_psa_needs_divisible_side(self):
         with pytest.raises(ValueError, match="divisible"):
             compose_views(np.zeros((3, 25, 25)), AugmentConfig(), seed=0, sample_id=0)
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"color_mult": 1.5}, "color_mult"),
+            ({"color_mult": 1.0}, "color_mult"),
+            ({"color_mult": -0.1}, "color_mult"),
+            ({"color_add": -0.1}, "color_add"),
+            ({"flip_p": 1.5}, "flip_p"),
+            ({"flip_p": -0.5}, "flip_p"),
+            ({"cutout_frac": 1.25}, "cutout_frac"),
+            ({"cutout_frac": -0.25}, "cutout_frac"),
+            ({"psa_grid": 0}, "psa_grid"),
+            ({"psa_grid": 0, "psa": False}, "psa_grid"),
+        ],
+    )
+    def test_out_of_range_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            AugmentConfig(**overrides).validate(24)
+
+    def test_range_edges_accepted(self):
+        AugmentConfig(color_mult=0.0, color_add=0.0, flip_p=1.0, cutout_frac=1.0, psa_grid=1).validate(24)

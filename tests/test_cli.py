@@ -1,9 +1,12 @@
 """End-to-end command-line tests."""
 import json
 
+import numpy as np
 import pytest
 
+from crfas import trainer
 from crfas.cli import run
+from crfas.data import read_image
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -101,3 +104,42 @@ def test_split_counts_satisfy_partition(tmp_path, capsys):
     for v in lists.values():
         keys |= {(r.dataset_id, r.path) for r in v}
     assert len(keys) == total
+
+
+def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsys):
+    data_dir, split_dir, train_dir = tmp_path / "data", tmp_path / "split", tmp_path / "train"
+    assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
+    assert run([
+        "split", "--manifest", str(data_dir / "manifest.txt"), "--protocol", "1",
+        "--labeled-pct", "50", "--out", str(split_dir),
+    ]) == 0
+    config = {
+        "epochs": 1, "batch_size": 4, "seed": 3,
+        "model": {
+            "input_size": 16, "in_channels": 3, "backbone_channels": [4, 6, 6],
+            "feature_side": 2, "embed_dim": 6,
+        },
+        "augment": {"psa_grid": 2},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+
+    batches = []
+    real_train_step = trainer.train_step
+
+    def capturing_train_step(model, batch, *args):
+        batches.append(batch)
+        return real_train_step(model, batch, *args)
+
+    monkeypatch.setattr(trainer, "train_step", capturing_train_step)
+    assert run([
+        "train", "--split-dir", str(split_dir), "--data-root", str(data_dir),
+        "--out", str(train_dir), "--config", str(tmp_path / "config.json"), "--dump-views",
+    ]) == 0
+
+    x1, x2, _, mask = batches[0]
+    assert mask.tolist() == [True, True, False, False]
+    for tag, views in (("view1", x1), ("view2", x2)):
+        assert len(list(train_dir.glob(f"debug_{tag}_*.fimg"))) == 4
+        for index, view in enumerate(views.data):
+            want = np.clip(np.round(view.transpose(1, 2, 0) * 255), 0, 255).astype(np.uint8)
+            np.testing.assert_array_equal(read_image(train_dir / f"debug_{tag}_{index:03d}.fimg"), want)

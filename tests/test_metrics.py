@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crfas.diffcore import Tensor
-from crfas.metrics import ScoredSample, auc, eer_threshold, error_rates, far_frr, hter, spoof_score
+from crfas.metrics import ScoredSample, auc, eer_threshold, error_rates, far_frr, hter
 
 
 def live(score):
@@ -34,20 +33,6 @@ def eer_threshold_sweep(samples):
         far, frr = far_frr(samples, thr)
         rows.append((abs(far - frr), error_rates(samples, thr).acer, thr))
     return min(rows)[2]
-
-
-class TestSpoofScore:
-    def test_constant_maps(self):
-        assert spoof_score(Tensor(np.ones((1, 1, 8, 8)))) == 1.0
-        assert spoof_score(Tensor(np.zeros((1, 1, 8, 8)))) == 0.0
-
-    def test_checkerboard(self):
-        board = np.indices((8, 8)).sum(axis=0) % 2
-        assert spoof_score(Tensor(board.reshape(1, 1, 8, 8).astype(np.float64))) == 0.5
-
-    def test_rejects_batched_maps(self):
-        with pytest.raises(ValueError):
-            spoof_score(Tensor(np.zeros((2, 1, 4, 4))))
 
 
 class TestErrorRates:

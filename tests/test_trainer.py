@@ -1,11 +1,13 @@
 """Trainer tests: schedule, SGD, step semantics, determinism, checkpoints."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 from crfas.augment import AugmentConfig
-from crfas.data import SplitSpec, SynthConfig, generate_synthetic, split
+from crfas.config import to_dict
+from crfas.data import SplitSpec, SynthConfig, generate_synthetic, load_image, split
 from crfas.diffcore import Tape, Tensor
 from crfas.losses import loss_overall
 from crfas.model import ModelConfig, build_model
@@ -19,6 +21,7 @@ from crfas.trainer import (
     load_checkpoint,
     lr_at,
     save_checkpoint,
+    score_records,
     train_step,
 )
 
@@ -197,6 +200,15 @@ class TestFitAndEvaluate:
         with pytest.raises(ValueError, match="labeled_train"):
             fit(model, result, tiny_config(), tmp_path / "x", root)
 
+    def test_bad_augment_config_rejected_before_any_output(self, tiny_data, tmp_path):
+        # a color multiplier 1 + U(-1.5, 1.5) can reach <= 0 partway through training
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
+        config = tiny_config(augment=AugmentConfig(psa_grid=2, color_mult=1.5))
+        with pytest.raises(ValueError, match="color_mult"):
+            fit(build_model(TINY_MODEL, seed=0), result, config, tmp_path / "x", root)
+        assert not (tmp_path / "x" / "config.json").exists()
+
     def test_supervised_only_when_unlabeled_empty(self, tiny_data, tmp_path):
         root, records = tiny_data
         result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
@@ -245,6 +257,18 @@ class TestFitAndEvaluate:
         final = fit(model, result, tiny_config(epochs=1, seed=12), tmp_path / "t2", root)
         summary = evaluate(final, result.test, root, threshold=math.inf)
         assert summary["apcer"] == 1.0 and summary["bpcer"] == 0.0 and summary["acer"] == 0.5
+
+    def test_score_is_mean_of_the_records_classifier_map(self, tiny_data):
+        root, records = tiny_data
+        model = build_model(TINY_MODEL, seed=13)
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
+        model.forward_views(x, x, "train")  # fills the batch-norm running statistics
+        chunk = records[:5]
+        scored = score_records(model, chunk, root)
+        maps = model.classify(model.encode(Tensor(np.concatenate([load_image(r, root).data for r in chunk])), "eval"))
+        assert [s.path for s in scored] == [r.path for r in chunk]
+        assert [s.score for s in scored] == [float(m.mean()) for m in maps.data]
 
     def test_supervised_loss_trends_down(self, tmp_path):
         # easy set so the short run actually converges
@@ -319,3 +343,28 @@ class TestCheckpoint:
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError, match="not a"):
             load_checkpoint(tmp_path / "junk.ckpt")
+
+    @staticmethod
+    def _with_arch_line(path, arch_json):
+        magic, _, rest = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, b"arch " + arch_json.encode(), rest]))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda arch: json.dumps(arch, sort_keys=True)[:-1], "bad arch line"),
+            (lambda arch: json.dumps({k: v for k, v in arch.items() if k != "embed_dim"}, sort_keys=True),
+             "does not echo back"),
+            (lambda arch: json.dumps({**arch, "embed_dim": "6"}, sort_keys=True), "embed_dim must be int"),
+            (lambda arch: json.dumps({**arch, "feature_side": 3}, sort_keys=True), "feature side"),
+        ],
+        ids=["bad_json", "missing_field", "mistyped_field", "bad_geometry"],
+    )
+    def test_malformed_arch_line_rejected(self, tmp_path, edit, match):
+        model = build_model(TINY_MODEL, seed=17)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        self._with_arch_line(path, edit(to_dict(TINY_MODEL)))
+        for target in (None, model):
+            with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(path, model=target)
