@@ -48,9 +48,9 @@ class AugmentConfig:
         # keeps the color multiplier 1 + U(-m, m) positive
         if not 0.0 <= self.color_mult < 1.0:
             raise ValueError(f"color_mult must be in [0, 1), got {self.color_mult}")
-        if self.color_add < 0.0:
+        if not self.color_add >= 0.0:
             raise ValueError(f"color_add must be >= 0, got {self.color_add}")
-        for name in ("flip_p", "cutout_frac"):
+        for name in ("flip_p", "cutout_frac", "cutout_fill"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 

@@ -7,6 +7,7 @@ its effective configuration into its output directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -145,15 +146,17 @@ def _cmd_train(args) -> int:
     )
     if args.supervised_only:
         split_result.unlabeled_train = []
+    batches = trainer.training_batches(split_result, config, args.data_root)
     if args.dump_views:
         args.out.mkdir(parents=True, exist_ok=True)
-        x1, x2, _, _ = next(trainer.training_batches(split_result, config, args.data_root))
+        x1, x2, _, _ = first = next(batches)
         for tag, views in (("view1", x1), ("view2", x2)):
             for index, view in enumerate(views.data):
                 pixels = np.clip(np.round(view.transpose(1, 2, 0) * 255), 0, 255).astype(np.uint8)
                 dat.write_image(args.out / f"debug_{tag}_{index:03d}.fimg", pixels)
+        batches = itertools.chain([first], batches)
     model = build_model(config.model, config.seed, config.dtype)
-    final = trainer.fit(model, split_result, config, args.out, args.data_root)
+    final = trainer.fit(model, split_result, config, args.out, args.data_root, batches)
     print(f"final checkpoint: {final}")
     return 0
 

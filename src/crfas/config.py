@@ -3,13 +3,15 @@
 `to_dict` writes tuples as lists and nested configs as dicts. `from_dict`
 keeps defaults for omitted keys and raises `ConfigError` on an unknown key
 or a value of the wrong type: bool fields take only bools, int fields ints
-but not bools, float fields ints or floats. Lists become tuples of the
+but not bools, float fields finite ints or floats (JSON `NaN` and
+`Infinity` are rejected). Lists become tuples of the
 declared element type. An `init=False` field is an echo: written like any
 other, and on read it must equal its default.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 
@@ -59,5 +61,7 @@ def _read(hint, value, where: str):
         return tuple(_read(item, v, f"{where}[{i}]") for i, (item, v) in enumerate(zip(items, value)))
     accepted = (int, float) if hint is float else hint
     if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)):
+        if hint is float and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         return hint(value)
     raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")

@@ -1,10 +1,11 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Implements exactly the operations the consistency-training graph needs:
-convolution, batch normalization, ReLU, max pooling, stop-gradient, and
-the elementwise/reduction/reshaping primitives the loss terms are built
-from. Forward results are plain numpy arrays; gradients are accumulated
-by replaying an explicit tape in reverse execution order.
+convolution, train-mode batch normalization and its eval-mode fold into
+the convolution, ReLU, max pooling, stop-gradient, and the
+elementwise/reduction/reshaping primitives the loss terms are built from.
+Forward results are plain numpy arrays; gradients are accumulated by
+replaying an explicit tape in reverse execution order.
 
 The convolution, pooling and normalization kernels take channels-last
 (batch, height, width, channels) activations; `split_nchw` hands a
@@ -605,84 +606,88 @@ def batchnorm2d(
     gamma: Tensor,
     beta: Tensor,
     state: BNState,
-    mode: str,
     eps: float = 1e-5,
     momentum: float = 0.1,
     slabs: int = 1,
 ) -> Tensor:
-    """Per-channel batch normalization of a channels-last (N, H, W, C) batch.
+    """Train-mode per-channel batch normalization of a channels-last (N, H, W, C) batch.
 
-    Train mode splits the batch into `slabs` equal runs of rows along N and
-    normalizes each over its own (rows, H, W) statistics, folding them into
-    the running statistics one slab after the other (new = (1 - momentum)
-    * old + momentum * slab); a 2N Siamese batch with slabs=2 therefore
-    computes exactly what two single-view calls would. Eval mode
-    normalizes with the running statistics and requires them to have been
-    initialized by at least one training step or a checkpoint.
+    The batch splits into `slabs` equal runs of rows along N, each
+    normalized over its own (rows, H, W) statistics and folded into the
+    running statistics one slab after the other (new = (1 - momentum) *
+    old + momentum * slab); a 2N Siamese batch with slabs=2 therefore
+    computes exactly what two single-view calls would. Eval mode has no
+    kernel of its own: `fold_batchnorm` moves the running statistics into
+    the preceding convolution.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d input must be 4-D, got {x.shape}")
     n, h, w, c = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d: affine shapes {gamma.shape}/{beta.shape} do not match {c} channels")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm2d: unknown mode {mode!r}")
     if slabs < 1 or n % slabs:
         raise ShapeError(f"batchnorm2d: batch of {n} does not split into {slabs} equal slabs")
+    if n < 1:
+        raise ShapeError("batchnorm2d: empty batch")
 
     eps = x.dtype.type(eps)
-    if mode == "train":
-        if n < 1:
-            raise ShapeError("batchnorm2d: empty batch in train mode")
-        m = n // slabs * h * w
-        xs = x.data.reshape(slabs, m, c)
-        # reductions run per slab; elementwise work runs on all slabs at once
-        mean = _slab_sums(xs) / m
-        xhat = np.subtract(xs, mean[:, None])
-        var = _slab_sums(xhat * xhat) / m
-        for s in range(slabs):
-            state.running_mean = ((1 - momentum) * state.running_mean + momentum * mean[s]).astype(state.running_mean.dtype)
-            state.running_var = ((1 - momentum) * state.running_var + momentum * var[s]).astype(state.running_var.dtype)
-        state.initialized = True
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std[:, None]
-        out_data = xhat * gamma.data
-        out_data += beta.data
-        out = Tensor(out_data.reshape(x.shape))
+    m = n // slabs * h * w
+    xs = x.data.reshape(slabs, m, c)
+    # reductions run per slab; elementwise work runs on all slabs at once
+    mean = _slab_sums(xs) / m
+    xhat = np.subtract(xs, mean[:, None])
+    var = _slab_sums(xhat * xhat) / m
+    for s in range(slabs):
+        state.running_mean = ((1 - momentum) * state.running_mean + momentum * mean[s]).astype(state.running_mean.dtype)
+        state.running_var = ((1 - momentum) * state.running_var + momentum * var[s]).astype(state.running_var.dtype)
+    state.initialized = True
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[:, None]
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    out = Tensor(out_data.reshape(x.shape))
 
-        def bwd():
-            if out.grad is None:
-                return
-            g = out.grad.reshape(slabs, m, c)
-            gx = g * xhat
-            sum_g = _slab_sums(g)
-            sum_gx = _slab_sums(gx)
-            _accumulate(beta, sum_g.sum(axis=0))
-            _accumulate(gamma, sum_gx.sum(axis=0))
-            if x.requires_grad:
-                dx = g - sum_g[:, None] / m
-                dx -= np.multiply(xhat, sum_gx[:, None] / m, out=gx)
-                dx *= (gamma.data * inv_std)[:, None]
-                _accumulate(x, dx.reshape(x.shape))
-
-        return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
-
-    if not state.initialized:
-        raise StateError("batchnorm2d: eval mode before any running-statistics update; train first or load a checkpoint")
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    xhat = (x.data - state.running_mean) * inv_std
-    out = Tensor(gamma.data * xhat + beta.data)
-
-    def bwd_eval():
+    def bwd():
         if out.grad is None:
             return
-        g2 = out.grad.reshape(-1, c)
-        _accumulate(beta, _channel_sums(g2))
-        _accumulate(gamma, _channel_sums(g2 * xhat.reshape(-1, c)))
+        g = out.grad.reshape(slabs, m, c)
+        gx = g * xhat
+        sum_g = _slab_sums(g)
+        sum_gx = _slab_sums(gx)
+        _accumulate(beta, sum_g.sum(axis=0))
+        _accumulate(gamma, sum_gx.sum(axis=0))
         if x.requires_grad:
-            _accumulate(x, out.grad * (gamma.data * inv_std))
+            dx = g - sum_g[:, None] / m
+            dx -= np.multiply(xhat, sum_gx[:, None] / m, out=gx)
+            dx *= (gamma.data * inv_std)[:, None]
+            _accumulate(x, dx.reshape(x.shape))
 
-    return _taped(out, "batchnorm2d", (x, gamma, beta), bwd_eval)
+    return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
+
+
+def fold_batchnorm(
+    weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor, state: BNState, eps: float = 1e-5
+) -> tuple[Tensor, Tensor]:
+    """Eval-mode batch normalization folded into the preceding convolution.
+
+    With s = gamma / sqrt(running_var + eps), the returned weight
+    W' = W * s[:, None, None, None] and bias b' = (b - running_mean) * s +
+    beta make conv2d(x, W', b') equal gamma * (conv2d(x, W, b) -
+    running_mean) / sqrt(running_var + eps) + beta, so the convolution's
+    bias add does all of the normalization. Eval mode is forward-only: the
+    folded tensors are fresh leaves through which no gradient reaches W, b,
+    gamma or beta, so calling this under an active tape raises StateError,
+    as does calling it before the running statistics were set by a
+    training step or a checkpoint.
+    """
+    if _active_tape() is not None:
+        raise StateError("batch-norm eval mode is forward-only and cannot run under an active tape")
+    if not state.initialized:
+        raise StateError("fold_batchnorm: eval mode before any running-statistics update; train first or load a checkpoint")
+    s = gamma.data / np.sqrt(state.running_var + weight.dtype.type(eps))
+    folded_weight = weight.data * s[:, None, None, None]
+    folded_bias = (bias.data - state.running_mean) * s + beta.data
+    return Tensor(folded_weight), Tensor(folded_bias)
 
 
 # ---------------------------------------------------------------------------

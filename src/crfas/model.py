@@ -13,6 +13,8 @@ Inside the network activations are channels-last (N, H, W, C); the public
 methods take and return (N, C, H, W) tensors and convert at their edges.
 `forward_views` stacks both views into one 2N batch whose batch-norm
 layers normalize each view's N rows with that view's own statistics.
+Eval mode is forward-only: each batch-norm layer is folded into its
+convolution, and running it under an active tape raises StateError.
 """
 from __future__ import annotations
 
@@ -106,15 +108,21 @@ class BatchNorm2d:
         self.eps = eps
         self.momentum = momentum
 
-    def __call__(self, x: Tensor, mode: str, slabs: int = 1) -> Tensor:
-        return diffcore.batchnorm2d(x, self.gamma, self.beta, self.state, mode, self.eps, self.momentum, slabs)
+    def __call__(self, x: Tensor, slabs: int = 1) -> Tensor:
+        return diffcore.batchnorm2d(x, self.gamma, self.beta, self.state, self.eps, self.momentum, slabs)
 
     def named_params(self, prefix: str):
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
 
 class ConvBNBlock:
-    """Conv -> BN -> optional ReLU."""
+    """Conv -> BN -> optional ReLU.
+
+    In eval mode the BN running statistics are folded into the convolution,
+    which then runs once with the folded weight and bias. The fold is
+    recomputed on every call because the optimizer updates the parameters
+    in place.
+    """
 
     def __init__(self, rng, cin, cout, k, stride=1, padding=0, with_relu=True, dtype=np.float32):
         self.conv = Conv2d(rng, cin, cout, k, stride, padding, dtype)
@@ -122,7 +130,14 @@ class ConvBNBlock:
         self.with_relu = with_relu
 
     def __call__(self, x: Tensor, mode: str, slabs: int = 1) -> Tensor:
-        out = self.bn(self.conv(x), mode, slabs)
+        if mode == "train":
+            out = self.bn(self.conv(x), slabs)
+        elif mode == "eval":
+            conv, bn = self.conv, self.bn
+            weight, bias = diffcore.fold_batchnorm(conv.weight, conv.bias, bn.gamma, bn.beta, bn.state, bn.eps)
+            out = diffcore.conv2d(x, weight, bias, conv.stride, conv.padding)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
         return diffcore.relu(out) if self.with_relu else out
 
 

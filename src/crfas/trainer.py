@@ -13,6 +13,7 @@ import math
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -52,6 +53,16 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be positive")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
+        # each comparison is written so that NaN fails it
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("base_lr_start", "base_lr_end"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         self.model.validate()
         self.augment.validate(self.model.input_size)
 
@@ -191,11 +202,21 @@ def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
         yield x1, x2, labels, np.arange(len(rows)) < n_lab
 
 
-def fit(model: SiameseDenseNet, split: SplitResult, config: TrainConfig, out_dir: Path, data_root: Path) -> Path:
+def fit(
+    model: SiameseDenseNet,
+    split: SplitResult,
+    config: TrainConfig,
+    out_dir: Path,
+    data_root: Path,
+    batches: Iterator | None = None,
+) -> Path:
     """Train over the split; returns the path of the final checkpoint.
 
     Writes `config.json`, an append-only `train.log` with one loss line per
     step, and a checkpoint per epoch plus `checkpoint.ckpt` for the last.
+    `batches` is the `training_batches(split, config, data_root)` stream
+    when the caller has already started it (`crfas train --dump-views`
+    reads its first batch), so its images are not loaded a second time.
     """
     config.validate()
     _, _, steps_per_epoch = _batch_layout(split, config)
@@ -204,10 +225,12 @@ def fit(model: SiameseDenseNet, split: SplitResult, config: TrainConfig, out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
 
+    if batches is None:
+        batches = training_batches(split, config, data_root)
     optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay, config.decay_bn_params)
     with open(out_dir / "train.log", "w") as log:
         log.write(f"# config {json.dumps(to_dict(config), sort_keys=True)}\n")
-        for step, batch in enumerate(training_batches(split, config, data_root)):
+        for step, batch in enumerate(batches):
             bundle = train_step(model, batch, config, step, total_steps, optimizer)
             log.write(_format_loss_line(step, bundle, lr_at(step, total_steps, config)) + "\n")
             log.flush()
@@ -353,12 +376,16 @@ def load_checkpoint(path: Path, model: SiameseDenseNet | None = None) -> Siamese
 # evaluation
 
 
-def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_root: Path, batch: int = 32) -> list[ScoredSample]:
+# records per forward pass when scoring
+SCORE_BATCH = 32
+
+
+def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_root: Path) -> list[ScoredSample]:
     """Score records through the encoder -> classifier path, no augmentation."""
     samples = []
     dtype_tag = _DTYPE_TAGS[model.dtype if isinstance(model.dtype, np.dtype) else np.dtype(model.dtype)]
-    for start in range(0, len(records), batch):
-        chunk = records[start : start + batch]
+    for start in range(0, len(records), SCORE_BATCH):
+        chunk = records[start : start + SCORE_BATCH]
         arrays = [load_image(r, data_root, dtype_tag).data[0] for r in chunk]
         x = Tensor(np.stack(arrays))
         maps = model.classify(model.encode(x, "eval"))
@@ -378,7 +405,10 @@ def evaluate(
     """Score a test manifest and report APCER/BPCER/ACER, HTER, and AUC.
 
     The decision threshold comes from the dev set's equal-error point when
-    dev records are given; otherwise an explicit threshold is required.
+    dev records are given, and the summary then also holds `dev_eer`, the
+    dev set's (FAR + FRR) / 2 at that threshold; otherwise an explicit
+    threshold is required. One `apcer_<type>` entry per attack type of the
+    test set follows the aggregate rates.
     """
     model = load_checkpoint(checkpoint_path)
     if dev_records:
@@ -388,14 +418,17 @@ def evaluate(
         raise ValueError("no dev samples and no explicit threshold: pass one of them to fix the operating point")
     scored = score_records(model, test_records, data_root)
     rates = error_rates(scored, threshold)
-    summary = {
-        "threshold": float(threshold),
+    summary = {"threshold": float(threshold)}
+    if dev_records:
+        summary["dev_eer"] = hter(dev_scored, threshold)
+    summary.update({
         "apcer": rates.apcer,
         "bpcer": rates.bpcer,
         "acer": rates.acer,
         "hter": hter(scored, threshold),
         "auc": auc(scored),
-    }
+    })
+    summary.update({f"apcer_{t}": rate for t, rate in rates.apcer_by_type.items()})
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

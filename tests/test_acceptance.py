@@ -128,7 +128,7 @@ def _kernel_cases(rng):
         "conv2d_strided": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(nhwc(x), w, b, 2, 1))),
         "batchnorm2d": (
             {"x": x, "gamma": gamma, "beta": beta},
-            lambda: sq(batchnorm2d(nhwc(x), gamma, beta, BNState.create(2, np.float64), "train")),
+            lambda: sq(batchnorm2d(nhwc(x), gamma, beta, BNState.create(2, np.float64))),
         ),
         "relu": ({"x": x}, lambda: sq(relu(x))),
         "maxpool2d": ({"pool_in": pool_in}, lambda: sq(maxpool2d(nhwc(pool_in)))),

@@ -159,6 +159,10 @@ class TestValidate:
             ({"cutout_frac": -0.25}, "cutout_frac"),
             ({"psa_grid": 0}, "psa_grid"),
             ({"psa_grid": 0, "psa": False}, "psa_grid"),
+            ({"color_add": float("nan")}, "color_add"),
+            ({"cutout_fill": 1.5}, "cutout_fill"),
+            ({"cutout_fill": -0.5}, "cutout_fill"),
+            ({"cutout_fill": float("nan")}, "cutout_fill"),
         ],
     )
     def test_out_of_range_rejected(self, overrides, match):
@@ -167,3 +171,4 @@ class TestValidate:
 
     def test_range_edges_accepted(self):
         AugmentConfig(color_mult=0.0, color_add=0.0, flip_p=1.0, cutout_frac=1.0, psa_grid=1).validate(24)
+        AugmentConfig(cutout_fill=1.0).validate(24)

@@ -6,7 +6,7 @@ import pytest
 
 from crfas import trainer
 from crfas.cli import run
-from crfas.data import read_image
+from crfas.data import read_image, read_manifest
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -95,8 +95,6 @@ def test_split_counts_satisfy_partition(tmp_path, capsys):
         "split", "--manifest", str(data_dir / "manifest.txt"), "--protocol", "1",
         "--labeled-pct", "20", "--out", str(split_dir),
     ]) == 0
-    from crfas.data import read_manifest
-
     lists = {name: read_manifest(split_dir / f"{name}.txt") for name in ("labeled.train", "unlabeled.train", "dev", "test")}
     total = sum(len(v) for v in lists.values())
     assert total == 90  # 10 subjects x 3 sessions x 3 kinds
@@ -130,11 +128,24 @@ def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsy
         batches.append(batch)
         return real_train_step(model, batch, *args)
 
+    loads = []
+    real_load_image = trainer.load_image
+
+    def counting_load_image(record, *args):
+        loads.append(record.path)
+        return real_load_image(record, *args)
+
     monkeypatch.setattr(trainer, "train_step", capturing_train_step)
+    monkeypatch.setattr(trainer, "load_image", counting_load_image)
     assert run([
         "train", "--split-dir", str(split_dir), "--data-root", str(data_dir),
         "--out", str(train_dir), "--config", str(tmp_path / "config.json"), "--dump-views",
     ]) == 0
+
+    # the dump and training share one pass over the images
+    n_train = sum(len(read_manifest(split_dir / f"{name}.train.txt")) for name in ("labeled", "unlabeled"))
+    assert n_train == 36
+    assert sorted(loads) == sorted(set(loads)) and len(loads) == n_train
 
     x1, x2, _, mask = batches[0]
     assert mask.tolist() == [True, True, False, False]
@@ -143,3 +154,28 @@ def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsy
         for index, view in enumerate(views.data):
             want = np.clip(np.round(view.transpose(1, 2, 0) * 255), 0, 255).astype(np.uint8)
             np.testing.assert_array_equal(read_image(train_dir / f"debug_{tag}_{index:03d}.fimg"), want)
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_nan_alpha_rejected_before_any_output(tmp_path, capsys, how):
+    data_dir, split_dir, train_dir = tmp_path / "data", tmp_path / "split", tmp_path / "train"
+    assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
+    assert run([
+        "split", "--manifest", str(data_dir / "manifest.txt"), "--protocol", "1",
+        "--labeled-pct", "50", "--out", str(split_dir),
+    ]) == 0
+    config = {
+        "epochs": 1, "batch_size": 4,
+        "model": {"input_size": 16, "backbone_channels": [4, 6, 6], "feature_side": 2, "embed_dim": 6},
+        "augment": {"psa_grid": 2},
+    }
+    if how == "config":
+        config["alpha"] = float("nan")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = [
+        "train", "--split-dir", str(split_dir), "--data-root", str(data_dir),
+        "--out", str(train_dir), "--config", str(tmp_path / "config.json"),
+    ]
+    assert run(argv + (["--alpha", "nan"] if how == "flag" else [])) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not (train_dir / "config.json").exists() and not (train_dir / "train.log").exists()

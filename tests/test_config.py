@@ -77,6 +77,10 @@ def test_omitted_fields_keep_defaults_and_lists_become_typed_tuples():
         ({"model": {"backbone_channels": [16, 32]}}, "needs 3 items"),
         ({"model": [24]}, "ModelConfig must be an object"),
         ({"augment": {"order": ["crop", "flip", "color", "cutout", "blur", "psa"]}}, "order is fixed"),
+        ({"alpha": float("nan")}, "alpha must be finite"),
+        ({"base_lr_start": float("inf")}, "base_lr_start must be finite"),
+        ({"augment": {"cutout_fill": float("-inf")}}, "cutout_fill must be finite"),
+        ({"augment": {"crop_scale": [0.8, float("nan")]}}, r"crop_scale\[1\] must be finite"),
     ],
 )
 def test_bad_values_rejected(data, match):

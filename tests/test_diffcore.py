@@ -11,6 +11,7 @@ from crfas.diffcore import (
     add,
     batchnorm2d,
     conv2d,
+    fold_batchnorm,
     gather_batch,
     grad_check,
     l2_normalize,
@@ -151,7 +152,7 @@ class TestBatchNorm:
         x = Tensor(np.full((3, 2, 4, 4), 7.0, dtype=np.float32))
         gamma = Tensor(np.ones(2, dtype=np.float32))
         beta = Tensor(np.array([0.5, -1.5], dtype=np.float32))
-        out = batchnorm2d(Tensor(nhwc(x.data)), gamma, beta, BNState.create(2), "train")
+        out = batchnorm2d(Tensor(nhwc(x.data)), gamma, beta, BNState.create(2))
         for c in range(2):
             np.testing.assert_allclose(nchw(out.data)[:, c], beta.data[c], atol=1e-5)
 
@@ -159,7 +160,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 3, 6, 6))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-        out = batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState.create(3, np.float64), "train")
+        out = batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(3)), Tensor(np.zeros(3)), BNState.create(3, np.float64))
         np.testing.assert_allclose(nchw(out.data), x, atol=1e-4)
 
     def test_matches_two_pass_oracle(self):
@@ -168,7 +169,7 @@ class TestBatchNorm:
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
         eps = 1e-5
-        out = batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), BNState.create(3, np.float64), "train", eps=eps)
+        out = batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), BNState.create(3, np.float64), eps=eps)
         # two-pass: mean first, then variance of residuals
         want = np.empty_like(x)
         for c in range(3):
@@ -182,24 +183,47 @@ class TestBatchNorm:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 2, 3, 3))
         state = BNState.create(2, np.float64)
-        batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, "train")
+        batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), state)
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
 
+    # eval mode is the fold of the running statistics into the preceding
+    # convolution; an identity 1x1 convolution exposes the bare normalization
+
     def test_eval_before_train_rejected(self):
-        x = Tensor(np.zeros((1, 4, 4, 2)))
+        weight, bias = Tensor(np.ones((2, 2, 1, 1), dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
         with pytest.raises(StateError, match="eval mode before"):
-            batchnorm2d(x, Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)), BNState.create(2), "eval")
+            fold_batchnorm(weight, bias, Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)), BNState.create(2))
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(8)
         state = BNState.create(2, np.float64)
         gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        batchnorm2d(Tensor(nhwc(rng.standard_normal((4, 2, 3, 3)))), gamma, beta, state, "train")
+        batchnorm2d(Tensor(nhwc(rng.standard_normal((4, 2, 3, 3)))), gamma, beta, state)
         x = rng.standard_normal((2, 2, 3, 3))
-        out = batchnorm2d(Tensor(nhwc(x)), gamma, beta, state, "eval")
+        identity = Tensor(np.eye(2).reshape(2, 2, 1, 1))
+        out = conv2d(Tensor(nhwc(x)), *fold_batchnorm(identity, Tensor(np.zeros(2)), gamma, beta, state))
         want = (x - state.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(state.running_var.reshape(1, 2, 1, 1) + 1e-5)
         np.testing.assert_allclose(nchw(out.data), want, rtol=1e-6)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
+    def test_fold_matches_conv_then_running_stats_formula(self, stride, padding):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((3, 7, 7, 4)))
+        weight, bias = Tensor(rng.standard_normal((5, 4, 3, 3))), Tensor(rng.standard_normal(5))
+        gamma, beta = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
+        state = BNState(rng.standard_normal(5), rng.random(5) + 0.1, initialized=True)
+        eps = 1e-3
+        out = conv2d(x, *fold_batchnorm(weight, bias, gamma, beta, state, eps), stride, padding)
+        y = conv2d(x, weight, bias, stride, padding).data
+        want = gamma.data * (y - state.running_mean) / np.sqrt(state.running_var + eps) + beta.data
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    def test_fold_under_tape_rejected(self):
+        ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        state = BNState(np.zeros(2), np.ones(2), initialized=True)
+        with Tape(), pytest.raises(StateError, match="forward-only"):
+            fold_batchnorm(Tensor(np.ones((2, 2, 1, 1))), zeros, ones, zeros, state)
 
     def test_two_slab_call_equals_two_single_view_calls(self):
         rng = np.random.default_rng(22)
@@ -213,11 +237,11 @@ class TestBatchNorm:
             state = BNState.create(3, np.float64)
             with Tape() as tape:
                 if slabs == 2:
-                    out = batchnorm2d(xt, gamma, beta, state, "train", slabs=2)
+                    out = batchnorm2d(xt, gamma, beta, state, slabs=2)
                     loss = sum_all(mul(out, Tensor(weights)))
                 else:
                     halves = [gather_batch(xt, np.arange(3)), gather_batch(xt, np.arange(3, 6))]
-                    outs = [batchnorm2d(h, gamma, beta, state, "train") for h in halves]
+                    outs = [batchnorm2d(h, gamma, beta, state) for h in halves]
                     loss = add(
                         sum_all(mul(outs[0], Tensor(weights[:3]))),
                         sum_all(mul(outs[1], Tensor(weights[3:]))),
@@ -244,7 +268,7 @@ class TestBatchNorm:
         target = rng.standard_normal((3, 2, 4, 4))
 
         def loss_fn():
-            out = transpose(batchnorm2d(taped_nhwc(x), gamma, beta, state, "train"), (0, 3, 1, 2))
+            out = transpose(batchnorm2d(taped_nhwc(x), gamma, beta, state), (0, 3, 1, 2))
             d = sub(out, Tensor(target))
             return mean_all(mul(d, d))
 

@@ -114,6 +114,30 @@ class TestEerHter:
                 samples.append(spoof(samples[0].score))
             assert eer_threshold(samples) == eer_threshold_sweep(samples)
 
+    @pytest.mark.parametrize("n_types", [1, 2, 3])
+    def test_matches_sweep_oracle_with_attack_types_and_ties(self, n_types):
+        # the per-type APCER enters the tie-break through ACER, so several
+        # attack types and many tied scores exercise every part of the key
+        rng = np.random.default_rng(40 + n_types)
+        types = ("print", "replay", "mask")[:n_types]
+        for trial in range(30):
+            n = int(rng.integers(n_types + 1, 301))
+            n_live = int(rng.integers(1, n - n_types + 1))
+            decimals = trial % 4 + 1  # 1 decimal: at most 11 distinct scores
+            scores = np.round(rng.random(n), decimals).tolist()
+            samples = [live(x) for x in scores[:n_live]]
+            samples += [spoof(x, types[i % n_types]) for i, x in enumerate(scores[n_live:])]
+            assert eer_threshold(samples) == eer_threshold_sweep(samples)
+
+    def test_per_type_apcer_breaks_the_tie(self):
+        # 2.5 and 4.0 tie on |FAR - FRR| and on (FAR + FRR) / 2; only the
+        # max over attack types in ACER prefers the larger threshold
+        samples = [spoof(0.5, "print"), live(1.0), live(2.0), live(3.0), spoof(3.0, "replay")]
+        samples += [live(5.0), spoof(6.0, "replay"), spoof(7.0, "replay")]
+        assert far_frr(samples, 2.5) == (0.25, 0.5) and far_frr(samples, 4.0) == (0.5, 0.25)
+        assert error_rates(samples, 4.0).acer < error_rates(samples, 2.5).acer
+        assert eer_threshold(samples) == eer_threshold_sweep(samples) == 4.0
+
     def test_threshold_below_all_scores(self):
         samples = [live(0.3), live(0.4), spoof(0.6), spoof(0.7)]
         # everything classified spoof: FRR 1, FAR 0

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from crfas.diffcore import ShapeError, Tensor
-from crfas.model import ConfigError, ModelConfig, build_model
+from crfas import diffcore
+from crfas.diffcore import ShapeError, StateError, Tape, Tensor
+from crfas.model import TO_NCHW, TO_NHWC, ConfigError, ModelConfig, build_model
 
 SMALL = ModelConfig(input_size=16, backbone_channels=(4, 6, 6), feature_side=2, embed_dim=6)
 
@@ -119,3 +120,68 @@ class TestForwardViews:
         rng = np.random.default_rng(8)
         emb = model.encode(rand_input(rng), "train")
         np.testing.assert_array_equal(model.classify(emb).data, model.classify(emb).data)
+
+
+def random_running_stats(model, rng):
+    """Give every BN layer random affine parameters and running statistics."""
+    for name, p in model.named_params():
+        if name.endswith(".gamma") or name.endswith(".beta"):
+            p.data[...] = rng.normal(1.0 if name.endswith(".gamma") else 0.0, 0.5, p.shape)
+    for _, state in model.named_bn_states():
+        state.running_mean[...] = rng.normal(0.0, 0.5, state.running_mean.shape)
+        state.running_var[...] = rng.uniform(0.2, 2.0, state.running_var.shape)
+        state.initialized = True
+
+
+def unfolded_block(block, x):
+    """Conv, then the eval batch-norm formula on the running statistics, then ReLU."""
+    bn = block.bn
+    y = diffcore.conv2d(x, block.conv.weight, block.conv.bias, block.conv.stride, block.conv.padding).data
+    y = bn.gamma.data * (y - bn.state.running_mean) / np.sqrt(bn.state.running_var + y.dtype.type(bn.eps)) + bn.beta.data
+    return np.maximum(y, 0) if block.with_relu else y
+
+
+def unfolded_encode(model, x):
+    out = x.data.transpose(TO_NHWC)
+    for layer in model.backbone + model.projector:
+        if layer == "pool":
+            out = diffcore.maxpool2d(Tensor(out), 2, 2).data
+        else:
+            out = unfolded_block(layer, Tensor(np.ascontiguousarray(out)))
+    return out.transpose(TO_NCHW)
+
+
+def unfolded_predict(model, emb):
+    hidden = unfolded_block(model.predictor_block, Tensor(np.ascontiguousarray(emb.data.transpose(TO_NHWC))))
+    return model.predictor_out(Tensor(hidden)).data.transpose(TO_NCHW)
+
+
+class TestEvalMode:
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    def test_folded_eval_matches_the_running_stats_formula(self, dtype, tol):
+        model = small_model(seed=9, dtype=dtype)
+        rng = np.random.default_rng(9)
+        random_running_stats(model, rng)
+        x = rand_input(rng, n=3, dtype=model.dtype)
+        emb = model.encode(x, "eval")
+        pred = model.predict(emb, "eval")
+        for got, want in ((emb.data, unfolded_encode(model, x)), (pred.data, unfolded_predict(model, emb))):
+            assert got.dtype == model.dtype
+            err = np.abs(got - want).max()
+            assert (err <= tol) if dtype == "f64" else (err <= tol * np.abs(want).max()), err
+
+    def test_eval_under_tape_rejected(self):
+        model = small_model(seed=10)
+        rng = np.random.default_rng(10)
+        random_running_stats(model, rng)
+        x = rand_input(rng)
+        emb = model.encode(x, "eval")
+        for run in (lambda: model.encode(x, "eval"), lambda: model.predict(emb, "eval"),
+                    lambda: model.forward_views(x, x, "eval")):
+            with Tape(), pytest.raises(StateError, match="forward-only"):
+                run()
+
+    def test_unknown_mode_rejected(self):
+        model = small_model()
+        with pytest.raises(ValueError, match="unknown mode"):
+            model.encode(rand_input(np.random.default_rng(11)), "test")

@@ -10,6 +10,7 @@ from crfas.config import to_dict
 from crfas.data import SplitSpec, SynthConfig, generate_synthetic, load_image, split
 from crfas.diffcore import Tape, Tensor
 from crfas.losses import loss_overall
+from crfas.metrics import error_rates, far_frr
 from crfas.model import ModelConfig, build_model
 from crfas.trainer import (
     CheckpointError,
@@ -209,6 +210,28 @@ class TestFitAndEvaluate:
             fit(build_model(TINY_MODEL, seed=0), result, config, tmp_path / "x", root)
         assert not (tmp_path / "x" / "config.json").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"alpha": -0.1}, "alpha"),
+            ({"alpha": math.nan}, "alpha"),
+            ({"base_lr_start": 0.0}, "base_lr_start"),
+            ({"base_lr_end": -0.01}, "base_lr_end"),
+            ({"base_lr_end": math.nan}, "base_lr_end"),
+            ({"momentum": 1.0}, "momentum"),
+            ({"momentum": -0.5}, "momentum"),
+            ({"momentum": math.nan}, "momentum"),
+            ({"weight_decay": -1e-4}, "weight_decay"),
+            ({"weight_decay": math.nan}, "weight_decay"),
+        ],
+    )
+    def test_out_of_range_optimizer_fields_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**overrides).validate()
+
+    def test_optimizer_range_edges_accepted(self):
+        tiny_config(alpha=0.0, momentum=0.0, weight_decay=0.0, base_lr_start=1e-9, base_lr_end=1e-9).validate()
+
     def test_supervised_only_when_unlabeled_empty(self, tiny_data, tmp_path):
         root, records = tiny_data
         result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
@@ -242,6 +265,27 @@ class TestFitAndEvaluate:
         assert (tmp_path / "e1" / "scores.txt").read_bytes() == (tmp_path / "e2" / "scores.txt").read_bytes()
         assert (tmp_path / "e1" / "metrics.txt").exists()
 
+    def test_metrics_file_reports_dev_eer_and_apcer_per_type(self, tiny_data, tmp_path):
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
+        model = build_model(TINY_MODEL, seed=16)
+        final = fit(model, result, tiny_config(epochs=1, seed=16), tmp_path / "train", root)
+        dev = result.dev or result.labeled_train
+        summary = evaluate(final, result.test, root, dev_records=dev, out_dir=tmp_path / "eval")
+        dev_scored = score_records(load_checkpoint(final), dev, root)
+        far, frr = far_frr(dev_scored, summary["threshold"])
+        assert summary["dev_eer"] == (far + frr) / 2
+        types = sorted({r.attack_type for r in result.test if r.label == "spoof"})
+        assert types == ["print", "replay"]
+        by_type = {t: summary[f"apcer_{t}"] for t in types}
+        assert by_type == error_rates(score_records(load_checkpoint(final), result.test, root), summary["threshold"]).apcer_by_type
+        assert summary["apcer"] == max(by_type.values())
+        lines = (tmp_path / "eval" / "metrics.txt").read_text().splitlines()
+        assert [line.split("=")[0] for line in lines] == [
+            "threshold", "dev_eer", "apcer", "bpcer", "acer", "hter", "auc", "apcer_print", "apcer_replay",
+        ]
+        assert f"dev_eer={summary['dev_eer']!r}" in lines
+
     def test_evaluate_requires_dev_or_threshold(self, tiny_data, tmp_path):
         root, records = tiny_data
         result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
@@ -257,6 +301,8 @@ class TestFitAndEvaluate:
         final = fit(model, result, tiny_config(epochs=1, seed=12), tmp_path / "t2", root)
         summary = evaluate(final, result.test, root, threshold=math.inf)
         assert summary["apcer"] == 1.0 and summary["bpcer"] == 0.0 and summary["acer"] == 0.5
+        # no dev set, so no dev equal-error point
+        assert "dev_eer" not in summary and summary["apcer_print"] == summary["apcer_replay"] == 1.0
 
     def test_score_is_mean_of_the_records_classifier_map(self, tiny_data):
         root, records = tiny_data
