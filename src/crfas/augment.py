@@ -1,6 +1,6 @@
 """Deterministic, seedable view augmentation.
 
-All operations act on (C, H, W) float arrays with values in [0, 1] and
+All operations act on (H, W, C) float arrays with values in [0, 1] and
 are pure given their parameters; the only randomness lives in
 `compose_views`, which draws every parameter from a stream keyed on
 (seed, sample_id, view_index). Pipeline order is fixed:
@@ -61,18 +61,20 @@ def patch_shuffle(image: np.ndarray, g: int, perm: np.ndarray) -> np.ndarray:
     Output tile at grid position k holds the input tile perm[k]; the pixel
     multiset is preserved exactly.
     """
-    c, h, w = image.shape
+    h, w, _ = image.shape
     if h != w:
         raise ValueError(f"patch_shuffle needs a square image, got {h}x{w}")
     if h % g:
         raise ValueError(f"image side {h} not divisible by grid {g}")
-    perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(g * g)):
-        raise ValueError(f"not a permutation of {g * g} tiles: {perm.tolist()}")
+    order = np.asarray(perm).tolist()
+    if sorted(order) != list(range(g * g)):
+        raise ValueError(f"not a permutation of {g * g} tiles: {order}")
     t = h // g
-    tiles = image.reshape(c, g, t, g, t).transpose(1, 3, 0, 2, 4).reshape(g * g, c, t, t)
-    shuffled = tiles[perm]
-    return shuffled.reshape(g, g, c, t, t).transpose(2, 0, 3, 1, 4).reshape(c, h, w)
+    out = np.empty_like(image)
+    for k, source in enumerate(order):
+        (oy, ox), (iy, ix) = divmod(k, g), divmod(source, g)
+        out[oy * t : (oy + 1) * t, ox * t : (ox + 1) * t] = image[iy * t : (iy + 1) * t, ix * t : (ix + 1) * t]
+    return out
 
 
 def cutout(image: np.ndarray, center: tuple[int, int], side_px: int, fill: float = 0.0) -> np.ndarray:
@@ -81,13 +83,13 @@ def cutout(image: np.ndarray, center: tuple[int, int], side_px: int, fill: float
         raise ValueError(f"negative cutout side {side_px}")
     if side_px == 0:
         return image.copy()
-    _, h, w = image.shape
+    h, w, _ = image.shape
     cy, cx = center
     half = side_px // 2
     top, bottom = max(0, cy - half), min(h, cy - half + side_px)
     left, right = max(0, cx - half), min(w, cx - half + side_px)
     out = image.copy()
-    out[:, top:bottom, left:right] = fill
+    out[top:bottom, left:right] = fill
     return out
 
 
@@ -99,7 +101,7 @@ def color_jitter(image: np.ndarray, mult: float, add: float) -> np.ndarray:
 
 
 def _bilinear_resize(image: np.ndarray, out_side: int) -> np.ndarray:
-    c, h, w = image.shape
+    h, w, _ = image.shape
     if h == out_side and w == out_side:
         return image
     # pixel-center sampling; exact identity when sizes match is handled above
@@ -109,22 +111,24 @@ def _bilinear_resize(image: np.ndarray, out_side: int) -> np.ndarray:
     x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(sy - y0, 0.0, 1.0)[None, :, None]
-    wx = np.clip(sx - x0, 0.0, 1.0)[None, None, :]
-    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
-    bot = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
+    wy = np.clip(sy - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(sx - x0, 0.0, 1.0)[None, :, None]
+    # gather whole rows first, then columns of those rows
+    rows0, rows1 = image.take(y0, axis=0), image.take(y1, axis=0)
+    top = rows0.take(x0, axis=1) * (1 - wx) + rows0.take(x1, axis=1) * wx
+    bot = rows1.take(x0, axis=1) * (1 - wx) + rows1.take(x1, axis=1) * wx
     return (top * (1 - wy) + bot * wy).astype(image.dtype)
 
 
 def crop_resize(image: np.ndarray, crop_box: tuple[int, int, int]) -> np.ndarray:
     """Crop (top, left, side) and resize back to the input size."""
-    c, h, w = image.shape
+    h, w, _ = image.shape
     if h != w:
         raise ValueError(f"crop expects a square image, got {h}x{w}")
     top, left, side = crop_box
     if side < 1 or top < 0 or left < 0 or top + side > h or left + side > w:
         raise ValueError(f"crop box {crop_box} outside {h}x{w} image")
-    return np.ascontiguousarray(_bilinear_resize(image[:, top : top + side, left : left + side], h))
+    return np.ascontiguousarray(_bilinear_resize(image[top : top + side, left : left + side], h))
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -135,10 +139,10 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     xs = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
-    padded = np.pad(image, ((0, 0), (radius, radius), (0, 0)), mode="edge")
-    rows = sum(kernel[i] * padded[:, i : i + image.shape[1], :] for i in range(kernel.size))
-    padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius)), mode="edge")
-    out = sum(kernel[i] * padded[:, :, i : i + image.shape[2]] for i in range(kernel.size))
+    padded = np.pad(image, ((radius, radius), (0, 0), (0, 0)), mode="edge")
+    rows = sum(kernel[i] * padded[i : i + image.shape[0]] for i in range(kernel.size))
+    padded = np.pad(rows, ((0, 0), (radius, radius), (0, 0)), mode="edge")
+    out = sum(kernel[i] * padded[:, i : i + image.shape[1]] for i in range(kernel.size))
     return out.astype(image.dtype)
 
 
@@ -153,7 +157,7 @@ def compose_views(
     Each view is an independent draw of the full pipeline; draws are
     reproducible from (seed, sample_id, view_index) alone.
     """
-    c, h, w = image.shape
+    h, w, _ = image.shape
     if h != w:
         raise ValueError(f"compose_views expects square images, got {h}x{w}")
     config.validate(h)
@@ -173,7 +177,7 @@ def compose_views(
             offset = rng.uniform(-config.color_add, config.color_add)
             out = color_jitter(out, mult, offset)
         if config.flip and rng.random() < config.flip_p:
-            out = np.ascontiguousarray(out[:, :, ::-1])
+            out = np.ascontiguousarray(out[:, ::-1])
         if config.cutout:
             side_px = int(round(config.cutout_frac * h))
             cy = int(rng.integers(0, h))

@@ -152,7 +152,7 @@ def _cmd_train(args) -> int:
         x1, x2, _, _ = first = next(batches)
         for tag, views in (("view1", x1), ("view2", x2)):
             for index, view in enumerate(views.data):
-                pixels = np.clip(np.round(view.transpose(1, 2, 0) * 255), 0, 255).astype(np.uint8)
+                pixels = np.clip(np.round(view * 255), 0, 255).astype(np.uint8)
                 dat.write_image(args.out / f"debug_{tag}_{index:03d}.fimg", pixels)
         batches = itertools.chain([first], batches)
     model = build_model(config.model, config.seed, config.dtype)
@@ -189,8 +189,8 @@ def _cmd_gradcheck(args) -> int:
     config = ModelConfig(input_size=16, backbone_channels=(4, 6, 6), feature_side=2, embed_dim=6)
     model = build_model(config, args.seed, "f64")
     rng = np.random.default_rng(args.seed)
-    x1 = Tensor(rng.random((2, 3, 16, 16)))
-    x2 = Tensor(rng.random((2, 3, 16, 16)))
+    x1 = Tensor(rng.random((2, 16, 16, 3)))
+    x2 = Tensor(rng.random((2, 16, 16, 3)))
     labels = np.array([0, 1])
     mask = np.array([True, True])
 

@@ -13,6 +13,9 @@ manifest into labeled-train / unlabeled-train / dev / test lists:
 Fractions always count whole subjects in ascending subject-id order and
 round down. The dev list is carved from labeled-train as the last 20% of
 its subjects (per dataset), again rounding down.
+
+Images are stored and loaded channels-last: `load_image` returns the
+`.fimg` pixels as an (H, W, 3) array in the file's own order.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import DTYPES, Tensor
+from .diffcore import DTYPES
 
 ATTACK_TYPES = ("none", "print", "replay", "flexiblemask", "papermask", "rigidmask", "fakehead", "glasses")
 
@@ -141,11 +144,10 @@ def read_image(path: Path) -> np.ndarray:
     return np.frombuffer(raw[12:], dtype=np.uint8).reshape(h, w, 3)
 
 
-def load_image(record: ManifestRecord, root: Path, dtype: str = "f32") -> Tensor:
-    """Load one record as a (1, 3, H, W) tensor scaled to [0, 1]."""
+def load_image(record: ManifestRecord, root: Path, dtype: str = "f32") -> np.ndarray:
+    """Load one record's pixels as an (H, W, 3) array scaled to [0, 1]."""
     pixels = read_image(Path(root) / record.path)
-    arr = pixels.astype(DTYPES[dtype]) / DTYPES[dtype](255.0)
-    return Tensor(arr.transpose(2, 0, 1)[None])
+    return pixels.astype(DTYPES[dtype]) / DTYPES[dtype](255.0)
 
 
 # ---------------------------------------------------------------------------

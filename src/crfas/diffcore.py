@@ -7,9 +7,8 @@ elementwise/reduction/reshaping primitives the loss terms are built from.
 Forward results are plain numpy arrays; gradients are accumulated by
 replaying an explicit tape in reverse execution order.
 
-The convolution, pooling and normalization kernels take channels-last
-(batch, height, width, channels) activations; `split_nchw` hands a
-channels-last batch back as (batch, channels, height, width) tensors.
+Images and activations have one layout, channels-last: (batch, height,
+width, channels). Only weights keep their (out, in, k, k) shape.
 """
 from __future__ import annotations
 
@@ -36,9 +35,8 @@ class StateError(RuntimeError):
 class Tensor:
     """A dense n-d array with an optional gradient buffer.
 
-    Kernel activations are 4-D channels-last (batch, height, width,
-    channels), and the per-view maps the losses read are (batch, channels,
-    height, width); parameters and loss scalars use whatever rank they need.
+    Images and activations are channels-last, (batch, height, width,
+    channels); parameters and loss intermediates use whatever rank they need.
     Tensors are value-like: nothing in this module mutates `data` after
     construction except the optimizer, which only touches leaf parameters.
     """
@@ -142,11 +140,20 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _taped(out: Tensor, name: str, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Record `backward_fn` if a tape is active and any input needs gradients."""
+    """Record `backward_fn` if a tape is active and any input needs gradients.
+
+    On replay it is called with the gradient of `out`, and not at all when
+    no gradient reached `out`.
+    """
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(name, backward_fn)
+
+        def replay():
+            if out.grad is not None:
+                backward_fn(out.grad)
+
+        tape.record(name, replay)
     return out
 
 
@@ -165,11 +172,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "add")
     out = Tensor(a.data + b.data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad)
-        _accumulate(b, out.grad)
+    def bwd(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _taped(out, "add", (a, b), bwd)
 
@@ -178,11 +183,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "sub")
     out = Tensor(a.data - b.data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad)
-        _accumulate(b, -out.grad)
+    def bwd(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
     return _taped(out, "sub", (a, b), bwd)
 
@@ -191,11 +194,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "mul")
     out = Tensor(a.data * b.data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad * b.data)
-        _accumulate(b, out.grad * a.data)
+    def bwd(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _taped(out, "mul", (a, b), bwd)
 
@@ -204,10 +205,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = a.dtype.type(c)
     out = Tensor(a.data * c)
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad * c)
+    def bwd(g):
+        _accumulate(a, g * c)
 
     return _taped(out, "scale", (a,), bwd)
 
@@ -215,10 +214,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad * (a.data > 0))
+    def bwd(g):
+        _accumulate(a, g * (a.data > 0))
 
     return _taped(out, "relu", (a,), bwd)
 
@@ -226,33 +223,17 @@ def relu(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad.reshape(a.shape))
+    def bwd(g):
+        _accumulate(a, g.reshape(a.shape))
 
     return _taped(out, "reshape", (a,), bwd)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, out.grad.transpose(inverse))
-
-    return _taped(out, "transpose", (a,), bwd)
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, np.broadcast_to(np.expand_dims(out.grad, axis), a.shape))
+    def bwd(g):
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
     return _taped(out, "sum_axis", (a,), bwd)
 
@@ -260,10 +241,8 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, np.broadcast_to(out.grad, a.shape))
+    def bwd(g):
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _taped(out, "sum_all", (a,), bwd)
 
@@ -274,10 +253,8 @@ def mean_all(a: Tensor) -> Tensor:
         raise ShapeError("mean_all of an empty tensor")
     out = Tensor(a.data.mean())
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accumulate(a, np.broadcast_to(out.grad / n, a.shape))
+    def bwd(g):
+        _accumulate(a, np.broadcast_to(g / n, a.shape))
 
     return _taped(out, "mean_all", (a,), bwd)
 
@@ -291,41 +268,34 @@ def gather_batch(a: Tensor, indices: np.ndarray) -> Tensor:
         raise ShapeError(f"gather_batch index out of range for batch {a.shape[0]}")
     out = Tensor(a.data[idx])
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.data)
-        np.add.at(g, idx, out.grad)
-        _accumulate(a, g)
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        _accumulate(a, ga)
 
     return _taped(out, "gather_batch", (a,), bwd)
 
 
-def split_nchw(a: Tensor, parts: int) -> list[Tensor]:
-    """Split a channels-last (parts*N, H, W, C) batch into `parts` NCHW tensors of N rows.
+def split_batch(a: Tensor, parts: int) -> list[Tensor]:
+    """Split a (parts*N, ...) batch into `parts` tensors of N rows each, without copying.
 
     One tape record covers all parts; backward writes each part's gradient
     back into its rows and leaves the rows of parts without one at zero.
     """
-    if a.data.ndim != 4 or parts < 1 or a.shape[0] % parts:
-        raise ShapeError(f"split_nchw: cannot split {a.shape} into {parts} equal batches")
-    slabs = a.data.reshape(parts, a.shape[0] // parts, *a.shape[1:])
-    outs = [Tensor(np.ascontiguousarray(s.transpose(0, 3, 1, 2))) for s in slabs]
+    if a.data.ndim < 1 or parts < 1 or a.shape[0] % parts:
+        raise ShapeError(f"split_batch: cannot split {a.shape} into {parts} equal batches")
+    outs = [Tensor(rows) for rows in np.split(a.data, parts)]
 
     def bwd():
         if all(o.grad is None for o in outs):
             return
-        g = np.zeros(slabs.shape, dtype=a.dtype)
-        for s, o in enumerate(outs):
-            if o.grad is not None:
-                g[s] = o.grad.transpose(0, 2, 3, 1)
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(a, np.concatenate([np.zeros_like(o.data) if o.grad is None else o.grad for o in outs]))
 
     tape = _active_tape()
     if tape is not None and a.requires_grad:
         for o in outs:
             o.requires_grad = True
-        tape.record("split_nchw", bwd)
+        tape.record("split_batch", bwd)
     return outs
 
 
@@ -343,10 +313,7 @@ def l2_normalize(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
     above = norms > floor
     out = Tensor(y)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         dot = (y * g).sum(axis=-1, keepdims=True)
         _accumulate(a, np.where(above, (g - y * dot) / denom, 0))
 
@@ -549,10 +516,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     out_data = out_data + bias.data if bias is not None else np.ascontiguousarray(out_data)
     out = Tensor(out_data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _channel_sums(g.reshape(-1, cout)))
         if not (weight.requires_grad or x.requires_grad):
@@ -586,17 +550,15 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     best = stack.max(axis=0)
     out = Tensor(best.reshape(n, ho, wo, c))
 
-    def bwd():
-        if out.grad is None:
-            return
-        grad = out.grad.reshape(-1)
-        g = np.empty_like(stack)
+    def bwd(g):
+        grad = g.reshape(-1)
+        gstack = np.empty_like(stack)
         unclaimed = np.ones(best.shape, dtype=bool)
         for t in range(k * k):
             first = (stack[t] == best) & unclaimed
-            np.multiply(grad, first, out=g[t])
+            np.multiply(grad, first, out=gstack[t])
             unclaimed &= ~first
-        _accumulate(x, g.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c))
+        _accumulate(x, gstack.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c))
 
     return _taped(out, "maxpool2d", (x,), bwd)
 
@@ -647,10 +609,8 @@ def batchnorm2d(
     out_data += beta.data
     out = Tensor(out_data.reshape(x.shape))
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad.reshape(slabs, m, c)
+    def bwd(g):
+        g = g.reshape(slabs, m, c)
         gx = g * xhat
         sum_g = _slab_sums(g)
         sum_gx = _slab_sums(gx)

@@ -11,6 +11,9 @@ which factorizes as <sum_i H_i/|H_i|, sum_j F_j/|F_j|>, the O(s^2 * d)
 form used everywhere outside of tests. Its product decomposition
 sqrt(DS(H,H) * DS(F,F)) * cos(center_H, center_F) is exposed through
 `lemma_terms` for verification.
+
+Feature and score maps are channels-last, (N, H, W, C), so one view's map
+reshaped to (N, H*W, C) is exactly its (s^2, d) row matrices.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from .diffcore import (
     sub,
     sum_all,
     sum_axis,
-    transpose,
 )
 
 
@@ -125,16 +127,16 @@ def lemma_terms(h: np.ndarray, f: np.ndarray) -> LemmaTerms:
 
 
 def _spatial_rows(x: Tensor) -> Tensor:
-    # (N, C, H, W) -> (N, H*W, C), row-major over spatial positions
-    n, c, h, w = x.shape
-    return transpose(reshape(x, (n, c, h * w)), (0, 2, 1))
+    # (N, H, W, C) -> (N, H*W, C), row-major over spatial positions
+    n, h, w, c = x.shape
+    return reshape(x, (n, h * w, c))
 
 
 def _dense_similarity_mean(pred: Tensor, target: Tensor) -> Tensor:
     """Mean-reduced dense similarity with the target branch detached."""
     if pred.shape != target.shape:
         raise ShapeError(f"dense similarity: shape mismatch {pred.shape} vs {target.shape}")
-    n, _c, h, w = pred.shape
+    n, h, w, _c = pred.shape
     s2 = h * w
     rows_p = l2_normalize(_spatial_rows(pred))
     rows_t = l2_normalize(_spatial_rows(stop_gradient(target)))
@@ -166,13 +168,13 @@ def loss_pred(cls_pred1: Tensor, cls_emb2: Tensor, cls_pred2: Tensor, cls_emb1: 
 
 
 def expand_label(y: int, side: int, dtype=np.float32) -> np.ndarray:
-    """Expand a binary label to a constant (1, 1, side, side) map.
+    """Expand a binary label to a constant (1, side, side, 1) map.
 
     Spoof samples (y=1) become all ones, live samples (y=0) all zeros.
     """
     if y not in (0, 1):
         raise ValueError(f"label must be 0 (live) or 1 (spoof), got {y!r}")
-    return np.full((1, 1, side, side), y, dtype=dtype)
+    return np.full((1, side, side, 1), y, dtype=dtype)
 
 
 def labels_to_maps(labels: np.ndarray, side: int, dtype=np.float32) -> np.ndarray:
@@ -215,7 +217,7 @@ def loss_overall(
     if idx.size:
         if labels is None or len(labels) != idx.size:
             raise ValueError("loss_overall: labeled rows present but labels missing or miscounted")
-        side = views.cls_emb1.shape[2]
+        side = views.cls_emb1.shape[1]
         targets = Tensor(labels_to_maps(np.asarray(labels), side, views.cls_emb1.dtype))
         l_sup = loss_supervised(gather_batch(views.cls_emb1, idx), gather_batch(views.cls_emb2, idx), targets)
     else:

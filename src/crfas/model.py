@@ -9,8 +9,7 @@ the predictor one 1x1 Conv-BN-ReLU block followed by a single 1x1
 convolution, and the classifier a single 1x1 convolution producing a
 one-channel score map.
 
-Inside the network activations are channels-last (N, H, W, C); the public
-methods take and return (N, C, H, W) tensors and convert at their edges.
+Inputs, activations and every output map are channels-last, (N, H, W, C).
 `forward_views` stacks both views into one 2N batch whose batch-norm
 layers normalize each view's N rows with that view's own statistics.
 Eval mode is forward-only: each batch-norm layer is folded into its
@@ -24,15 +23,11 @@ import numpy as np
 
 from . import diffcore
 from .config import ConfigError
-from .diffcore import DTYPES, BNState, ShapeError, Tensor, split_nchw, transpose
+from .diffcore import DTYPES, BNState, ShapeError, Tensor, split_batch
 
 
 # three stride-2 reductions: one max-pool plus two strided convolutions
 DOWNSAMPLE_FACTOR = 8
-
-# axis orders between the public (N, C, H, W) and the kernels' (N, H, W, C)
-TO_NHWC = (0, 2, 3, 1)
-TO_NCHW = (0, 3, 1, 2)
 
 
 @dataclass
@@ -53,8 +48,8 @@ class ModelConfig:
                 f"downsampling {self.input_size} by {DOWNSAMPLE_FACTOR} gives "
                 f"{self.input_size // DOWNSAMPLE_FACTOR}, not feature side {self.feature_side}"
             )
-        if self.feature_side < 1 or self.embed_dim < 1:
-            raise ConfigError("feature side and embedding dim must be positive")
+        if min(self.feature_side, self.embed_dim, self.in_channels, *self.backbone_channels) < 1:
+            raise ConfigError("feature side, embedding dim and channel counts must be positive")
 
 
 @dataclass
@@ -172,12 +167,12 @@ class SiameseDenseNet:
         self.classifier = Conv2d(rng, d, 1, 1, dtype=dtype)
 
     # forward pieces -------------------------------------------------------
-    # The underscored methods work on channels-last batches of `slabs` views.
+    # The underscored methods work on batches of `slabs` views.
 
     def _check_input(self, x: Tensor) -> None:
-        if x.data.ndim != 4 or x.shape[1] != self.config.in_channels:
-            raise ShapeError(f"expected (N, {self.config.in_channels}, H, W) input, got {x.shape}")
-        if x.shape[2] != self.config.input_size or x.shape[3] != self.config.input_size:
+        if x.data.ndim != 4 or x.shape[3] != self.config.in_channels:
+            raise ShapeError(f"expected (N, H, W, {self.config.in_channels}) input, got {x.shape}")
+        if x.shape[1] != self.config.input_size or x.shape[2] != self.config.input_size:
             raise ShapeError(f"expected {self.config.input_size}px input, got {x.shape}")
 
     def _encode(self, x: Tensor, mode: str, slabs: int) -> Tensor:
@@ -195,34 +190,34 @@ class SiameseDenseNet:
         return self.predictor_out(self.predictor_block(emb, mode, slabs))
 
     def encode(self, x: Tensor, mode: str) -> Tensor:
-        """Dense encoder: backbone then projector, (N, C, H, W) in and out."""
+        """Dense encoder: backbone then projector, (N, H, W, C) in and out."""
         self._check_input(x)
-        return transpose(self._encode(transpose(x, TO_NHWC), mode, 1), TO_NCHW)
+        return self._encode(x, mode, 1)
 
     def predict(self, emb: Tensor, mode: str) -> Tensor:
-        return transpose(self._predict(transpose(emb, TO_NHWC), mode, 1), TO_NCHW)
+        return self._predict(emb, mode, 1)
 
     def classify(self, feature_map: Tensor) -> Tensor:
-        return transpose(self.classifier(transpose(feature_map, TO_NHWC)), TO_NCHW)
+        return self.classifier(feature_map)
 
     def forward_views(self, x1: Tensor, x2: Tensor, mode: str) -> ViewOutputs:
         """Run both views through the shared parameters as one 2N batch.
 
-        The views are stacked along the batch axis and moved to channels-last
-        once; each batch-norm layer normalizes the two N-row slabs with their
-        own statistics, as two separate passes would. The views are network
-        inputs: no gradient flows back into x1 or x2.
+        The views are stacked along the batch axis; each batch-norm layer
+        normalizes the two N-row slabs with their own statistics, as two
+        separate passes would. The views are network inputs: no gradient
+        flows back into x1 or x2.
         """
         if x1.shape != x2.shape:
             raise ShapeError(f"views must share a shape, got {x1.shape} vs {x2.shape}")
         self._check_input(x1)
-        x = Tensor(np.concatenate([x1.data, x2.data]).transpose(TO_NHWC))
+        x = Tensor(np.concatenate([x1.data, x2.data]))
         emb = self._encode(x, mode, 2)
         pred = self._predict(emb, mode, 2)
-        emb1, emb2 = split_nchw(emb, 2)
-        pred1, pred2 = split_nchw(pred, 2)
-        cls_emb1, cls_emb2 = split_nchw(self.classifier(emb), 2)
-        cls_pred1, cls_pred2 = split_nchw(self.classifier(pred), 2)
+        emb1, emb2 = split_batch(emb, 2)
+        pred1, pred2 = split_batch(pred, 2)
+        cls_emb1, cls_emb2 = split_batch(self.classifier(emb), 2)
+        cls_pred1, cls_pred2 = split_batch(self.classifier(pred), 2)
         return ViewOutputs(
             emb1=emb1,
             emb2=emb2,

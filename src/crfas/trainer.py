@@ -184,8 +184,7 @@ def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
     n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
     labeled, unlabeled = split.labeled_train, split.unlabeled_train
     images = {
-        (r.dataset_id, r.path): load_image(r, data_root, config.dtype).data[0]
-        for r in (*labeled, *unlabeled)
+        (r.dataset_id, r.path): load_image(r, data_root, config.dtype) for r in (*labeled, *unlabeled)
     }
     lab_stream = _IndexStream(len(labeled), np.random.default_rng(np.random.SeedSequence((config.seed, 1))))
     unl_stream = _IndexStream(len(unlabeled), np.random.default_rng(np.random.SeedSequence((config.seed, 2))))
@@ -247,6 +246,7 @@ def fit(
 
 _CKPT_MAGIC = "CRFAS-CKPT v1"
 _DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_TAG_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 
 def _checkpoint_entries(model: SiameseDenseNet):
@@ -293,31 +293,53 @@ def save_checkpoint(model: SiameseDenseNet, path: Path) -> None:
             fh.write(blob)
 
 
+def _count(path: Path, text: str) -> int:
+    """A byte count or extent from the header: ASCII decimal digits only."""
+    if not text.isdigit():
+        raise CheckpointError(f"{path}: {text!r} is not a count")
+    return int(text)
+
+
 def _parse_checkpoint(path: Path):
+    """Read the header and data section; every malformed header raises CheckpointError.
+
+    The tensor table must tile the data section: each entry starts where the
+    one declared before it ends, and the last ends at `data <n>`.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
     sep = raw.find(b"\ndata ")
-    if not raw.startswith(_CKPT_MAGIC.encode()) or sep < 0:
-        raise CheckpointError(f"{path}: not a {_CKPT_MAGIC} file")
     newline = raw.find(b"\n", sep + 1)
-    header = raw[:newline].decode("ascii").splitlines()
+    if not raw.startswith(_CKPT_MAGIC.encode() + b"\n") or sep < 0 or newline < 0:
+        raise CheckpointError(f"{path}: not a {_CKPT_MAGIC} file")
+    try:
+        header = raw[:newline].decode("ascii").split("\n")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"{path}: header is not ASCII: {e}") from e
     data = raw[newline + 1 :]
-    declared = int(header[-1].split()[1])
+    declared = _count(path, header[-1][len("data ") :])
     if len(data) != declared:
         raise CheckpointError(f"{path}: corrupt data section, expected {declared} bytes, found {len(data)}")
     arch = None
     table = []
+    end = 0
     for line in header[1:-1]:
         if line.startswith("arch "):
             arch = _read_arch(path, line[5:])
-        elif line.startswith("tensor "):
-            _, name, tag, dims, offset = line.split()
-            shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
-            table.append((name, tag, shape, int(offset)))
-        else:
+            continue
+        fields = line.split(" ")
+        if fields[0] != "tensor" or len(fields) != 5 or fields[2] not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
+        _, name, tag, dims, offset = fields
+        shape = () if dims == "-" else tuple(_count(path, d) for d in dims.split(","))
+        if _count(path, offset) != end:
+            raise CheckpointError(f"{path}: tensor {name} starts at byte {offset}, expected {end}")
+        table.append((name, tag, shape, end))
+        end += math.prod(shape) * _TAG_DTYPES[tag].itemsize
+    if end != declared:
+        raise CheckpointError(f"{path}: tensor table covers {end} bytes, data section holds {declared}")
     if arch is None:
         raise CheckpointError(f"{path}: missing arch line")
     return arch, table, data
@@ -354,13 +376,8 @@ def load_checkpoint(path: Path, model: SiameseDenseNet | None = None) -> Siamese
                 f"{name}: file has {tag} {shape}, model expects {_DTYPE_TAGS[target.dtype]} {target.shape}"
             )
             continue
-        np_dtype = np.dtype(np.float32 if tag == "f32" else np.float64).newbyteorder("<")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np_dtype.itemsize if shape else np_dtype.itemsize
-        chunk = data[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            problems.append(f"{name}: data section truncated")
-            continue
-        loaded[name] = np.frombuffer(chunk, dtype=np_dtype).reshape(shape).astype(target.dtype)
+        values = np.frombuffer(data, dtype=_TAG_DTYPES[tag], count=math.prod(shape), offset=offset)
+        loaded[name] = values.reshape(shape).astype(target.dtype)
     if problems:
         raise CheckpointError(f"{path}: " + "; ".join(problems))
     for name, p in model.named_params():
@@ -386,8 +403,7 @@ def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_ro
     dtype_tag = _DTYPE_TAGS[model.dtype if isinstance(model.dtype, np.dtype) else np.dtype(model.dtype)]
     for start in range(0, len(records), SCORE_BATCH):
         chunk = records[start : start + SCORE_BATCH]
-        arrays = [load_image(r, data_root, dtype_tag).data[0] for r in chunk]
-        x = Tensor(np.stack(arrays))
+        x = Tensor(np.stack([load_image(r, data_root, dtype_tag) for r in chunk]))
         maps = model.classify(model.encode(x, "eval"))
         for r, m in zip(chunk, maps.data):
             samples.append(ScoredSample(score=float(m.mean()), label=r.label, attack_type=r.attack_type, path=r.path))

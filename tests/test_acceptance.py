@@ -33,7 +33,6 @@ from crfas.diffcore import (
     stop_gradient,
     sub,
     sum_all,
-    transpose,
 )
 from crfas.metrics import ScoredSample, auc, eer_threshold, error_rates, far_frr
 from crfas.model import ModelConfig, ViewOutputs, build_model
@@ -107,31 +106,27 @@ def test_criterion_2_fast_form_equals_oracle():
 
 
 def _kernel_cases(rng):
-    x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 4, 2)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     gamma = Tensor(rng.standard_normal(2) + 1.0, requires_grad=True)
     beta = Tensor(rng.standard_normal(2), requires_grad=True)
-    pool_in = Tensor(rng.permutation(32).astype(np.float64).reshape(2, 1, 4, 4) * 0.1, requires_grad=True)
+    pool_in = Tensor(rng.permutation(32).astype(np.float64).reshape(2, 4, 4, 1) * 0.1, requires_grad=True)
     rows = Tensor(rng.standard_normal((4, 6)) + 0.3, requires_grad=True)
-    other = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    other = Tensor(rng.standard_normal((2, 4, 4, 2)), requires_grad=True)
 
     def sq(t):
         return mean_all(mul(t, t))
 
-    def nhwc(t):
-        # the kernels take channels-last activations
-        return transpose(t, (0, 2, 3, 1))
-
     return {
-        "conv2d": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(nhwc(x), w, b, 1, 1))),
-        "conv2d_strided": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(nhwc(x), w, b, 2, 1))),
+        "conv2d": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(x, w, b, 1, 1))),
+        "conv2d_strided": ({"x": x, "w": w, "b": b}, lambda: sq(conv2d(x, w, b, 2, 1))),
         "batchnorm2d": (
             {"x": x, "gamma": gamma, "beta": beta},
-            lambda: sq(batchnorm2d(nhwc(x), gamma, beta, BNState.create(2, np.float64))),
+            lambda: sq(batchnorm2d(x, gamma, beta, BNState.create(2, np.float64))),
         ),
         "relu": ({"x": x}, lambda: sq(relu(x))),
-        "maxpool2d": ({"pool_in": pool_in}, lambda: sq(maxpool2d(nhwc(pool_in)))),
+        "maxpool2d": ({"pool_in": pool_in}, lambda: sq(maxpool2d(pool_in))),
         "l2_normalize": ({"rows": rows}, lambda: sq(l2_normalize(rows))),
         "stop_gradient": (
             {"x": x, "other": other},
@@ -153,8 +148,8 @@ def test_criterion_3_gradient_suite():
 
     config = ModelConfig(input_size=16, backbone_channels=(4, 6, 6), feature_side=2, embed_dim=6)
     model = build_model(config, 0, "f64")
-    x1 = Tensor(rng.random((2, 3, 16, 16)))
-    x2 = Tensor(rng.random((2, 3, 16, 16)))
+    x1 = Tensor(rng.random((2, 16, 16, 3)))
+    x2 = Tensor(rng.random((2, 16, 16, 3)))
     labels = np.array([0, 1])
     mask = np.array([True, True])
 
@@ -185,8 +180,8 @@ def test_criterion_4_stop_gradient_nullity():
         main = build_model(config, seed)
         twin = build_model(config, seed + 1000)
         rng = np.random.default_rng(seed)
-        x1 = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
-        x2 = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
+        x1 = Tensor(rng.random((2, 16, 16, 3)).astype(np.float32))
+        x2 = Tensor(rng.random((2, 16, 16, 3)).astype(np.float32))
         with Tape() as tape:
             pred1 = main.predict(main.encode(x1, "train"), "train")
             pred2 = main.predict(main.encode(x2, "train"), "train")
@@ -213,12 +208,12 @@ def test_criterion_5_view_swap_symmetry():
     for _ in range(20):
         n, d, s = 3, 4, 3
         fields = {
-            name: Tensor(rng.standard_normal((n, d, s, s)))
+            name: Tensor(rng.standard_normal((n, s, s, d)))
             for name in ("emb1", "emb2", "pred1", "pred2")
         }
         fields.update(
             {
-                name: Tensor(rng.standard_normal((n, 1, s, s)))
+                name: Tensor(rng.standard_normal((n, s, s, 1)))
                 for name in ("cls_emb1", "cls_emb2", "cls_pred1", "cls_pred2")
             }
         )
@@ -243,12 +238,12 @@ def test_criterion_6_patch_shuffle():
     rng = np.random.default_rng(6)
     ok = True
     for _ in range(10):
-        img = (rng.integers(0, 256, (3, 24, 24)) / 255.0).astype(np.float32)
+        img = (rng.integers(0, 256, (24, 24, 3)) / 255.0).astype(np.float32)
         perm = rng.permutation(9)
         out = patch_shuffle(img, 3, perm)
         bins = np.linspace(0, 1, 257)
         for c in range(3):
-            ok = ok and np.array_equal(np.histogram(out[c], bins)[0], np.histogram(img[c], bins)[0])
+            ok = ok and np.array_equal(np.histogram(out[..., c], bins)[0], np.histogram(img[..., c], bins)[0])
         restored = patch_shuffle(out, 3, np.argsort(perm))
         ok = ok and np.array_equal(restored, img)
         ok = ok and np.array_equal(patch_shuffle(img, 3, np.arange(9)), img)

@@ -13,7 +13,7 @@ from crfas.augment import (
 
 
 def rand_image(rng, side=24):
-    return rng.random((3, side, side))
+    return rng.random((side, side, 3))
 
 
 class TestPatchShuffle:
@@ -29,15 +29,15 @@ class TestPatchShuffle:
         perm = rng.permutation(9)
         out = patch_shuffle(img, 3, perm)
         for c in range(3):
-            np.testing.assert_array_equal(np.sort(out[c].ravel()), np.sort(img[c].ravel()))
+            np.testing.assert_array_equal(np.sort(out[..., c].ravel()), np.sort(img[..., c].ravel()))
 
     def test_per_channel_histogram_exact(self):
         rng = np.random.default_rng(2)
-        img = (rng.integers(0, 256, (3, 24, 24)) / 255.0).astype(np.float32)
+        img = (rng.integers(0, 256, (24, 24, 3)) / 255.0).astype(np.float32)
         out = patch_shuffle(img, 3, rng.permutation(9))
         bins = np.linspace(0, 1, 257)
         for c in range(3):
-            np.testing.assert_array_equal(np.histogram(out[c], bins)[0], np.histogram(img[c], bins)[0])
+            np.testing.assert_array_equal(np.histogram(out[..., c], bins)[0], np.histogram(img[..., c], bins)[0])
 
     def test_inverse_restores_bitwise(self):
         rng = np.random.default_rng(3)
@@ -48,20 +48,20 @@ class TestPatchShuffle:
         np.testing.assert_array_equal(out, img)
 
     def test_moves_the_right_tile(self):
-        img = np.zeros((1, 6, 6))
-        img[0, 0:3, 0:3] = 1.0  # tile 0 in scan order
+        img = np.zeros((6, 6, 1))
+        img[0:3, 0:3] = 1.0  # tile 0 in scan order
         perm = np.array([3, 1, 2, 0])  # output tile k takes input tile perm[k]
         out = patch_shuffle(img, 2, perm)
-        assert out[0, 0:3, 0:3].sum() == 0.0  # received empty tile 3
-        assert out[0, 3:6, 3:6].sum() == 9.0  # tile 3 received input tile 0
+        assert out[0:3, 0:3].sum() == 0.0  # received empty tile 3
+        assert out[3:6, 3:6].sum() == 9.0  # tile 3 received input tile 0
 
     def test_indivisible_side_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            patch_shuffle(np.zeros((3, 25, 25)), 3, np.arange(9))
+            patch_shuffle(np.zeros((25, 25, 3)), 3, np.arange(9))
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
-            patch_shuffle(np.zeros((3, 24, 24)), 3, np.array([0] * 9))
+            patch_shuffle(np.zeros((24, 24, 3)), 3, np.array([0] * 9))
 
 
 class TestBasicOps:
@@ -71,9 +71,9 @@ class TestBasicOps:
         np.testing.assert_array_equal(cutout(img, (5, 5), 0), img)
 
     def test_cutout_clips_at_border(self):
-        img = np.ones((1, 8, 8))
+        img = np.ones((8, 8, 1))
         out = cutout(img, (0, 0), 4, fill=0.0)
-        assert out[0, :2, :2].sum() == 0.0
+        assert out[:2, :2].sum() == 0.0
         assert out.sum() == 64 - 4
 
     def test_color_identity(self):
@@ -82,7 +82,7 @@ class TestBasicOps:
         np.testing.assert_array_equal(color_jitter(img, 1.0, 0.0), img)
 
     def test_color_clamps(self):
-        img = np.full((3, 4, 4), 0.9)
+        img = np.full((4, 4, 3), 0.9)
         out = color_jitter(img, 1.5, 0.2)
         assert out.max() <= 1.0
 
@@ -93,7 +93,7 @@ class TestBasicOps:
 
     def test_crop_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="crop box"):
-            crop_resize(np.zeros((3, 24, 24)), (10, 10, 20))
+            crop_resize(np.zeros((24, 24, 3)), (10, 10, 20))
 
 
 class TestComposeViews:
@@ -138,11 +138,11 @@ class TestComposeViews:
         with_psa, _ = compose_views(img, AugmentConfig(), seed=5, sample_id=7)
         without, _ = compose_views(img, AugmentConfig(psa=False), seed=5, sample_id=7)
         for c in range(3):
-            np.testing.assert_array_equal(np.sort(with_psa[c].ravel()), np.sort(without[c].ravel()))
+            np.testing.assert_array_equal(np.sort(with_psa[..., c].ravel()), np.sort(without[..., c].ravel()))
 
     def test_psa_needs_divisible_side(self):
         with pytest.raises(ValueError, match="divisible"):
-            compose_views(np.zeros((3, 25, 25)), AugmentConfig(), seed=0, sample_id=0)
+            compose_views(np.zeros((25, 25, 3)), AugmentConfig(), seed=0, sample_id=0)
 
 
 class TestValidate:

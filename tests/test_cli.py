@@ -152,7 +152,7 @@ def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsy
     for tag, views in (("view1", x1), ("view2", x2)):
         assert len(list(train_dir.glob(f"debug_{tag}_*.fimg"))) == 4
         for index, view in enumerate(views.data):
-            want = np.clip(np.round(view.transpose(1, 2, 0) * 255), 0, 255).astype(np.uint8)
+            want = np.clip(np.round(view * 255), 0, 255).astype(np.uint8)
             np.testing.assert_array_equal(read_image(train_dir / f"debug_{tag}_{index:03d}.fimg"), want)
 
 

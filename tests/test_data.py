@@ -65,9 +65,9 @@ class TestImageIO:
     def test_all_black_loads_as_zeros(self, tmp_path):
         write_image(tmp_path / "b.fimg", np.zeros((4, 4, 3), dtype=np.uint8))
         record = ManifestRecord("b.fimg", 1, 1, "live", "none", "d0")
-        tensor = load_image(record, tmp_path)
-        assert tensor.shape == (1, 3, 4, 4)
-        np.testing.assert_array_equal(tensor.data, 0.0)
+        image = load_image(record, tmp_path)
+        assert image.shape == (4, 4, 3)
+        np.testing.assert_array_equal(image, 0.0)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "c.fimg").write_bytes(b"JUNKxxxxxxxxxxxx")

@@ -24,8 +24,8 @@ from crfas.diffcore import (
     stop_gradient,
     sub,
     sum_all,
+    split_batch,
     sum_axis,
-    transpose,
 )
 
 
@@ -36,11 +36,6 @@ def nhwc(a):
 
 def nchw(a):
     return a.transpose(0, 3, 1, 2)
-
-
-def taped_nhwc(t):
-    """Differentiable move of an (N, C, H, W) tensor to channels-last."""
-    return transpose(t, (0, 2, 3, 1))
 
 
 def conv2d_oracle(x, w, b, stride, padding):
@@ -135,12 +130,12 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
     def test_gradcheck(self, stride, padding):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 4, 4, 2)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
 
         def loss_fn():
-            y = conv2d(taped_nhwc(x), w, b, stride, padding)
+            y = conv2d(x, w, b, stride, padding)
             return mean_all(mul(y, y))
 
         report = grad_check(loss_fn, {"x": x, "w": w, "b": b})
@@ -261,14 +256,14 @@ class TestBatchNorm:
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4, 4, 2)), requires_grad=True)
         gamma = Tensor(rng.standard_normal(2) + 1.0, requires_grad=True)
         beta = Tensor(rng.standard_normal(2), requires_grad=True)
         state = BNState.create(2, np.float64)
-        target = rng.standard_normal((3, 2, 4, 4))
+        target = rng.standard_normal((3, 4, 4, 2))
 
         def loss_fn():
-            out = transpose(batchnorm2d(taped_nhwc(x), gamma, beta, state), (0, 3, 1, 2))
+            out = batchnorm2d(x, gamma, beta, state)
             d = sub(out, Tensor(target))
             return mean_all(mul(d, d))
 
@@ -284,11 +279,11 @@ class TestReluMaxpool:
         np.testing.assert_array_equal(x.grad, np.zeros_like(x.data))
 
     def test_maxpool_constant_routes_to_first_index(self):
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        backward_of([x], lambda: sum_all(maxpool2d(taped_nhwc(x))))
+        x = Tensor(np.ones((1, 4, 4, 1)), requires_grad=True)
+        backward_of([x], lambda: sum_all(maxpool2d(x)))
         want = np.zeros((4, 4))
         want[0::2, 0::2] = 1.0  # first element of each 2x2 window in scan order
-        np.testing.assert_array_equal(x.grad[0, 0], want)
+        np.testing.assert_array_equal(x.grad[0, :, :, 0], want)
 
     def test_maxpool_matches_window_scan_oracle(self):
         rng = np.random.default_rng(11)
@@ -302,10 +297,10 @@ class TestReluMaxpool:
     def test_maxpool_gradcheck(self):
         rng = np.random.default_rng(12)
         # well-separated values keep finite differences off the kinks
-        x = Tensor(rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8) * 0.1, requires_grad=True)
+        x = Tensor(rng.permutation(64).astype(np.float64).reshape(1, 8, 8, 1) * 0.1, requires_grad=True)
 
         def loss_fn():
-            y = maxpool2d(taped_nhwc(x))
+            y = maxpool2d(x)
             return mean_all(mul(y, y))
 
         report = grad_check(loss_fn, {"x": x})
@@ -354,7 +349,6 @@ class TestElementwiseAndReductions:
             "add": lambda: mean_all(mul(add(a, b), add(a, b))),
             "sub": lambda: mean_all(mul(sub(a, b), sub(a, b))),
             "scale": lambda: sum_all(scale(mul(a, b), 0.3)),
-            "transpose": lambda: mean_all(mul(transpose(a, (0, 2, 3, 1)), transpose(b, (0, 2, 3, 1)))),
             "reshape": lambda: mean_all(mul(reshape(a, (2, 12)), reshape(b, (2, 12)))),
             "sum_axis": lambda: sum_all(mul(sum_axis(a, 1), sum_axis(b, 1))),
         }
@@ -398,6 +392,42 @@ class TestElementwiseAndReductions:
 
         report = grad_check(loss_fn, {"a": a})
         assert report.passed, report.format_lines()
+
+
+class TestSplitBatch:
+    def test_parts_are_row_slabs(self):
+        a = Tensor(np.arange(6 * 2 * 2 * 3, dtype=np.float64).reshape(6, 2, 2, 3))
+        parts = split_batch(a, 2)
+        np.testing.assert_array_equal(parts[0].data, a.data[:3])
+        np.testing.assert_array_equal(parts[1].data, a.data[3:])
+
+    def test_uneven_split_rejected(self):
+        with pytest.raises(ShapeError, match="split_batch"):
+            split_batch(Tensor(np.zeros((5, 2, 2, 1))), 2)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(24)
+        a = Tensor(rng.standard_normal((4, 2, 3, 2)), requires_grad=True)
+        w = rng.standard_normal((2, 2, 3, 2))
+
+        def loss_fn():
+            first, second = split_batch(a, 2)
+            return add(sum_all(mul(first, first)), sum_all(mul(second, Tensor(w))))
+
+        report = grad_check(loss_fn, {"a": a})
+        assert report.passed, report.format_lines()
+
+    def test_part_without_gradient_gets_zero_rows(self):
+        rng = np.random.default_rng(25)
+        a = Tensor(rng.standard_normal((6, 2, 2, 3)), requires_grad=True)
+        w = rng.standard_normal((2, 2, 2, 3))
+        with Tape() as tape:
+            parts = split_batch(a, 3)
+            loss = sum_all(mul(parts[1], Tensor(w)))
+            tape.backward(loss)
+        np.testing.assert_array_equal(a.grad[2:4], w)
+        np.testing.assert_array_equal(a.grad[:2], 0.0)
+        np.testing.assert_array_equal(a.grad[4:], 0.0)
 
 
 class TestTapeAndGradCheck:

@@ -41,10 +41,10 @@ def random_views(rng, n=2, d=4, s=3, dtype=np.float64):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
     return ViewOutputs(
-        emb1=t((n, d, s, s)), emb2=t((n, d, s, s)),
-        pred1=t((n, d, s, s)), pred2=t((n, d, s, s)),
-        cls_emb1=t((n, 1, s, s)), cls_emb2=t((n, 1, s, s)),
-        cls_pred1=t((n, 1, s, s)), cls_pred2=t((n, 1, s, s)),
+        emb1=t((n, s, s, d)), emb2=t((n, s, s, d)),
+        pred1=t((n, s, s, d)), pred2=t((n, s, s, d)),
+        cls_emb1=t((n, s, s, 1)), cls_emb2=t((n, s, s, 1)),
+        cls_pred1=t((n, s, s, 1)), cls_pred2=t((n, s, s, 1)),
     )
 
 
@@ -150,21 +150,21 @@ class TestLemma:
 
 class TestLossEmbedd:
     def test_identical_unit_rows_reach_minimum(self):
-        u = np.zeros((1, 4, 2, 2))
-        u[:, 1] = 1.0  # every spatial row is e_1
+        u = np.zeros((1, 2, 2, 4))
+        u[..., 1] = 1.0  # every spatial row is e_1
         t = lambda: Tensor(u.copy())
         value = loss_embedd(t(), t(), t(), t())
         assert value.item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(6)
-        a, b, c, d = (Tensor(rng.standard_normal((2, 3, 2, 2))) for _ in range(4))
+        a, b, c, d = (Tensor(rng.standard_normal((2, 2, 2, 3))) for _ in range(4))
         assert loss_embedd(a, b, c, d).item() == pytest.approx(loss_embedd(c, d, a, b).item(), abs=1e-15)
 
     def test_no_gradient_into_detached_embeddings(self):
         rng = np.random.default_rng(7)
         pred1, emb2, pred2, emb1 = (
-            Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True) for _ in range(4)
+            Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True) for _ in range(4)
         )
         with Tape() as tape:
             value = loss_embedd(pred1, emb2, pred2, emb1)
@@ -179,10 +179,10 @@ class TestLossEmbedd:
     def test_matches_matrix_level_similarity(self):
         rng = np.random.default_rng(8)
         n, d, s = 3, 4, 2
-        p1, e2, p2, e1 = (rng.standard_normal((n, d, s, s)) for _ in range(4))
+        p1, e2, p2, e1 = (rng.standard_normal((n, s, s, d)) for _ in range(4))
 
         def rows(x, i):
-            return x[i].reshape(d, s * s).T  # (s^2, d)
+            return x[i].reshape(s * s, d)
 
         want = -0.5 * (
             np.mean([dense_similarity(rows(p1, i), rows(e2, i), "mean") for i in range(n)])
@@ -194,31 +194,31 @@ class TestLossEmbedd:
     def test_bounded_below(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            args = [Tensor(rng.standard_normal((2, 3, 2, 2))) for _ in range(4)]
+            args = [Tensor(rng.standard_normal((2, 2, 2, 3))) for _ in range(4)]
             assert loss_embedd(*args).item() >= -1.0 - 1e-12
 
 
 class TestMseAndPred:
     def test_equal_maps_zero(self):
-        a = Tensor(np.random.default_rng(10).random((2, 1, 3, 3)))
+        a = Tensor(np.random.default_rng(10).random((2, 3, 3, 1)))
         assert mse_map(a, Tensor(a.data.copy())).item() == 0.0
 
     def test_ones_vs_zeros(self):
-        a = Tensor(np.ones((2, 1, 3, 3)))
-        b = Tensor(np.zeros((2, 1, 3, 3)))
+        a = Tensor(np.ones((2, 3, 3, 1)))
+        b = Tensor(np.zeros((2, 3, 3, 1)))
         assert mse_map(a, b).item() == 1.0
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((3, 1, 4, 4))
-        b = rng.standard_normal((3, 1, 4, 4))
+        a = rng.standard_normal((3, 4, 4, 1))
+        b = rng.standard_normal((3, 4, 4, 1))
         want = sum((x - y) ** 2 for x, y in zip(a.flat, b.flat)) / a.size
         assert mse_map(Tensor(a), Tensor(b)).item() == pytest.approx(want, rel=1e-12)
 
     def test_gradient_flows_into_both_sides(self):
         rng = np.random.default_rng(12)
-        a = Tensor(rng.standard_normal((2, 1, 2, 2)), requires_grad=True)
-        b = Tensor(rng.standard_normal((2, 1, 2, 2)), requires_grad=True)
+        a = Tensor(rng.standard_normal((2, 2, 2, 1)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 2, 2, 1)), requires_grad=True)
         with Tape() as tape:
             value = mse_map(a, b)
             a.zero_grad()
@@ -228,18 +228,18 @@ class TestMseAndPred:
         assert np.abs(b.grad).sum() > 0
 
     def test_pred_identical_inputs_zero(self):
-        m = Tensor(np.random.default_rng(13).random((2, 1, 3, 3)))
+        m = Tensor(np.random.default_rng(13).random((2, 3, 3, 1)))
         c = lambda: Tensor(m.data.copy())
         assert loss_pred(c(), c(), c(), c()).item() == 0.0
 
     def test_pred_swap_invariance(self):
         rng = np.random.default_rng(14)
-        a, b, c, d = (Tensor(rng.standard_normal((2, 1, 3, 3))) for _ in range(4))
+        a, b, c, d = (Tensor(rng.standard_normal((2, 3, 3, 1))) for _ in range(4))
         assert loss_pred(a, b, c, d).item() == pytest.approx(loss_pred(c, d, a, b).item(), abs=1e-15)
 
     def test_pred_matches_direct_formula(self):
         rng = np.random.default_rng(15)
-        arrays = [rng.standard_normal((2, 1, 3, 3)) for _ in range(4)]
+        arrays = [rng.standard_normal((2, 3, 3, 1)) for _ in range(4)]
         want = 0.5 * np.mean((arrays[0] - arrays[1]) ** 2) + 0.5 * np.mean((arrays[2] - arrays[3]) ** 2)
         got = loss_pred(*(Tensor(a) for a in arrays)).item()
         assert got == pytest.approx(want, rel=1e-12)
@@ -247,8 +247,8 @@ class TestMseAndPred:
 
 class TestSupervised:
     def test_expand_label(self):
-        np.testing.assert_array_equal(expand_label(1, 8), np.ones((1, 1, 8, 8), dtype=np.float32))
-        np.testing.assert_array_equal(expand_label(0, 8), np.zeros((1, 1, 8, 8), dtype=np.float32))
+        np.testing.assert_array_equal(expand_label(1, 8), np.ones((1, 8, 8, 1), dtype=np.float32))
+        np.testing.assert_array_equal(expand_label(0, 8), np.zeros((1, 8, 8, 1), dtype=np.float32))
         assert mse_map(Tensor(expand_label(1, 4)), Tensor(expand_label(0, 4))).item() == 1.0
 
     def test_expand_label_rejects_other_values(self):
@@ -261,18 +261,18 @@ class TestSupervised:
 
     def test_half_offset(self):
         y = Tensor(expand_label(0, 3))
-        off = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
+        off = Tensor(np.ones((1, 3, 3, 1), dtype=np.float32))
         assert loss_supervised(Tensor(y.data.copy()), off, y).item() == pytest.approx(0.5)
 
     def test_empty_batch_rejected(self):
-        empty = Tensor(np.zeros((0, 1, 3, 3)))
+        empty = Tensor(np.zeros((0, 3, 3, 1)))
         with pytest.raises(ShapeError, match="filter"):
             loss_supervised(empty, empty, empty)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(16)
-        a = rng.standard_normal((3, 1, 2, 2))
-        b = rng.standard_normal((3, 1, 2, 2))
+        a = rng.standard_normal((3, 2, 2, 1))
+        b = rng.standard_normal((3, 2, 2, 1))
         y = np.concatenate([expand_label(int(v), 2, np.float64) for v in (1, 0, 1)])
         want = 0.5 * np.mean((a - y) ** 2) + 0.5 * np.mean((b - y) ** 2)
         assert loss_supervised(Tensor(a), Tensor(b), Tensor(y)).item() == pytest.approx(want, rel=1e-12)
@@ -320,10 +320,10 @@ class TestOverall:
     def test_full_gradcheck_with_stopgrad(self):
         rng = np.random.default_rng(21)
         params = {
-            "pred1": Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True),
-            "emb2": Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True),
-            "pred2": Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True),
-            "emb1": Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True),
+            "pred1": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
+            "emb2": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
+            "pred2": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
+            "emb1": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
         }
 
         def loss_fn():

@@ -4,7 +4,7 @@ import pytest
 
 from crfas import diffcore
 from crfas.diffcore import ShapeError, StateError, Tape, Tensor
-from crfas.model import TO_NCHW, TO_NHWC, ConfigError, ModelConfig, build_model
+from crfas.model import ConfigError, ModelConfig, build_model
 
 SMALL = ModelConfig(input_size=16, backbone_channels=(4, 6, 6), feature_side=2, embed_dim=6)
 
@@ -14,7 +14,7 @@ def small_model(seed=0, dtype="f32"):
 
 
 def rand_input(rng, n=2, size=16, dtype=np.float32):
-    return Tensor(rng.random((n, 3, size, size)).astype(dtype))
+    return Tensor(rng.random((n, size, size, 3)).astype(dtype))
 
 
 class TestBuild:
@@ -23,10 +23,10 @@ class TestBuild:
         rng = np.random.default_rng(0)
         x = rand_input(rng, n=2, size=64)
         views = model.forward_views(x, x, "train")
-        assert views.emb1.shape == (2, 64, 8, 8)
-        assert views.pred1.shape == (2, 64, 8, 8)
-        assert views.cls_emb1.shape == (2, 1, 8, 8)
-        assert views.cls_pred2.shape == (2, 1, 8, 8)
+        assert views.emb1.shape == (2, 8, 8, 64)
+        assert views.pred1.shape == (2, 8, 8, 64)
+        assert views.cls_emb1.shape == (2, 8, 8, 1)
+        assert views.cls_pred2.shape == (2, 8, 8, 1)
 
     def test_same_seed_same_params(self):
         a = small_model(seed=123)
@@ -142,18 +142,18 @@ def unfolded_block(block, x):
 
 
 def unfolded_encode(model, x):
-    out = x.data.transpose(TO_NHWC)
+    out = x.data
     for layer in model.backbone + model.projector:
         if layer == "pool":
             out = diffcore.maxpool2d(Tensor(out), 2, 2).data
         else:
-            out = unfolded_block(layer, Tensor(np.ascontiguousarray(out)))
-    return out.transpose(TO_NCHW)
+            out = unfolded_block(layer, Tensor(out))
+    return out
 
 
 def unfolded_predict(model, emb):
-    hidden = unfolded_block(model.predictor_block, Tensor(np.ascontiguousarray(emb.data.transpose(TO_NHWC))))
-    return model.predictor_out(Tensor(hidden)).data.transpose(TO_NCHW)
+    hidden = unfolded_block(model.predictor_block, emb)
+    return model.predictor_out(Tensor(hidden)).data
 
 
 class TestEvalMode:

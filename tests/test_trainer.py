@@ -14,6 +14,7 @@ from crfas.metrics import error_rates, far_frr
 from crfas.model import ModelConfig, build_model
 from crfas.trainer import (
     CheckpointError,
+    _checkpoint_entries,
     _IndexStream,
     MomentumSGD,
     TrainConfig,
@@ -50,8 +51,8 @@ def tiny_data(tmp_path_factory):
 
 
 def tiny_batch(rng, n=4, n_labeled=2, dtype=np.float32):
-    x1 = Tensor(rng.random((n, 3, 16, 16)).astype(dtype))
-    x2 = Tensor(rng.random((n, 3, 16, 16)).astype(dtype))
+    x1 = Tensor(rng.random((n, 16, 16, 3)).astype(dtype))
+    x2 = Tensor(rng.random((n, 16, 16, 3)).astype(dtype))
     labels = np.array([i % 2 for i in range(n_labeled)])
     mask = np.array([i < n_labeled for i in range(n)])
     return x1, x2, labels, mask
@@ -308,11 +309,11 @@ class TestFitAndEvaluate:
         root, records = tiny_data
         model = build_model(TINY_MODEL, seed=13)
         rng = np.random.default_rng(13)
-        x = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
+        x = Tensor(rng.random((2, 16, 16, 3)).astype(np.float32))
         model.forward_views(x, x, "train")  # fills the batch-norm running statistics
         chunk = records[:5]
         scored = score_records(model, chunk, root)
-        maps = model.classify(model.encode(Tensor(np.concatenate([load_image(r, root).data for r in chunk])), "eval"))
+        maps = model.classify(model.encode(Tensor(np.stack([load_image(r, root) for r in chunk])), "eval"))
         assert [s.path for s in scored] == [r.path for r in chunk]
         assert [s.score for s in scored] == [float(m.mean()) for m in maps.data]
 
@@ -344,8 +345,8 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = build_model(TINY_MODEL, seed=13)
         rng = np.random.default_rng(13)
-        model.forward_views(Tensor(rng.random((2, 3, 16, 16), ).astype(np.float32)),
-                            Tensor(rng.random((2, 3, 16, 16)).astype(np.float32)), "train")
+        model.forward_views(Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)),
+                            Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)), "train")
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(model, p1)
@@ -361,11 +362,11 @@ class TestCheckpoint:
     def test_eval_works_after_load(self, tmp_path):
         model = build_model(TINY_MODEL, seed=14)
         rng = np.random.default_rng(14)
-        model.forward_views(Tensor(rng.random((2, 3, 16, 16)).astype(np.float32)),
-                            Tensor(rng.random((2, 3, 16, 16)).astype(np.float32)), "train")
+        model.forward_views(Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)),
+                            Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)), "train")
         save_checkpoint(model, tmp_path / "m.ckpt")
         restored = load_checkpoint(tmp_path / "m.ckpt")
-        x = Tensor(rng.random((1, 3, 16, 16)).astype(np.float32))
+        x = Tensor(rng.random((1, 16, 16, 3)).astype(np.float32))
         np.testing.assert_array_equal(restored.encode(x, "eval").data, model.encode(x, "eval").data)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -389,6 +390,55 @@ class TestCheckpoint:
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError, match="not a"):
             load_checkpoint(tmp_path / "junk.ckpt")
+
+    @staticmethod
+    def _randomized_checkpoint(path, seed):
+        """A tiny model whose every tensor holds distinct values, saved to `path`."""
+        model = build_model(TINY_MODEL, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _, p in model.named_params():
+            p.data[...] = rng.standard_normal(p.shape)
+        for _, state in model.named_bn_states():
+            state.running_mean[...] = rng.standard_normal(state.running_mean.shape)
+            state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
+            state.initialized = True
+        save_checkpoint(model, path)
+        return model
+
+    @staticmethod
+    def _same_tensors(a, b):
+        return all(np.array_equal(x, y) for (_, x), (_, y) in zip(_checkpoint_entries(a), _checkpoint_entries(b)))
+
+    def test_swapped_offsets_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        self._randomized_checkpoint(path, seed=18)
+        raw = path.read_bytes()
+        lines = raw.split(b"\n")
+        i = next(k for k, line in enumerate(lines) if line.startswith(b"tensor backbone.b1a.bn.gamma "))
+        assert lines[i + 1].startswith(b"tensor backbone.b1a.bn.beta ")
+        (head_g, off_g), (head_b, off_b) = (lines[k].rsplit(b" ", 1) for k in (i, i + 1))
+        assert len(off_g) == len(off_b)
+        lines[i], lines[i + 1] = head_g + b" " + off_b, head_b + b" " + off_g
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CheckpointError, match="backbone.b1a.bn.gamma"):
+            load_checkpoint(path)
+
+    def test_header_byte_mutations_raise_or_load_identical_tensors(self, tmp_path):
+        original = self._randomized_checkpoint(tmp_path / "m.ckpt", seed=19)
+        raw = (tmp_path / "m.ckpt").read_bytes()
+        header_end = raw.index(b"\n", raw.index(b"\ndata ") + 1) + 1
+        path = tmp_path / "mutated.ckpt"
+        silent = []
+        for i in range(header_end):
+            for byte in b"0 \xff":
+                path.write_bytes(raw[:i] + bytes([byte]) + raw[i + 1 :])
+                try:
+                    loaded = load_checkpoint(path)
+                except CheckpointError:
+                    continue
+                if not self._same_tensors(loaded, original):
+                    silent.append((i, chr(byte)))
+        assert not silent, f"{len(silent)} mutations loaded different tensors, first {silent[:5]}"
 
     @staticmethod
     def _with_arch_line(path, arch_json):
