@@ -1,9 +1,11 @@
-"""Deterministic, seedable view augmentation.
+"""Deterministic, seedable view augmentation, batch-first.
 
-All operations act on (H, W, C) float arrays with values in [0, 1] and
-are pure given their parameters; the only randomness lives in
-`compose_views`, which draws every parameter from a stream keyed on
-(seed, sample_id, view_index). Pipeline order is fixed:
+Every operation acts on an (H, W, C) image or an (N, H, W, C) batch of
+float values in [0, 1], with one set of parameters per row, and is pure
+given them. The only randomness lives in `compose_views`, which draws each
+row's parameters from its own stream keyed on (seed, sample_id, view_index)
+and then runs each operation once over the whole batch, so a row's views
+do not depend on the other rows. Pipeline order is fixed:
 crop -> color -> flip -> cutout -> (blur, off by default) -> patch shuffle,
 so the tile shuffle runs last and earlier draws do not depend on it.
 """
@@ -55,138 +57,152 @@ class AugmentConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
-def patch_shuffle(image: np.ndarray, g: int, perm: np.ndarray) -> np.ndarray:
-    """Rearrange the g x g tile grid of a square image by `perm`.
+def _batch(image: np.ndarray) -> np.ndarray:
+    """`image` as an (N, H, W, C) batch; a single (H, W, C) image is one row."""
+    return image if image.ndim == 4 else image[None]
+
+
+def _per_row(values, n: int, width: int) -> np.ndarray:
+    """`width` parameters for each of `n` rows, from one set or one set per row."""
+    return np.asarray(values).reshape(n, width)
+
+
+def _like(image: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """`batch` in the shape `image` came in: a single image loses its row axis."""
+    return batch if image.ndim == 4 else batch[0]
+
+
+def patch_shuffle(image: np.ndarray, g: int, perm) -> np.ndarray:
+    """Rearrange the g x g tile grid of square images by `perm` (one per row).
 
     Output tile at grid position k holds the input tile perm[k]; the pixel
     multiset is preserved exactly.
     """
-    h, w, _ = image.shape
-    if h != w:
-        raise ValueError(f"patch_shuffle needs a square image, got {h}x{w}")
-    if h % g:
-        raise ValueError(f"image side {h} not divisible by grid {g}")
-    order = np.asarray(perm).tolist()
-    if sorted(order) != list(range(g * g)):
-        raise ValueError(f"not a permutation of {g * g} tiles: {order}")
-    t = h // g
-    out = np.empty_like(image)
-    for k, source in enumerate(order):
-        (oy, ox), (iy, ix) = divmod(k, g), divmod(source, g)
-        out[oy * t : (oy + 1) * t, ox * t : (ox + 1) * t] = image[iy * t : (iy + 1) * t, ix * t : (ix + 1) * t]
-    return out
+    batch = _batch(image)
+    n, side, w, c = batch.shape
+    if side != w:
+        raise ValueError(f"patch_shuffle needs square images, got {side}x{w}")
+    if side % g:
+        raise ValueError(f"image side {side} not divisible by grid {g}")
+    perms = _per_row(perm, n, -1)
+    if perms.shape[1] != g * g or not (np.sort(perms, axis=1) == np.arange(g * g)).all():
+        raise ValueError(f"not a permutation of {g * g} tiles: {perms.tolist()}")
+    t = side // g
+    tiles = batch.reshape(n, g, t, g, t, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, g * g, t, t, c)
+    out = tiles[np.arange(n)[:, None], perms].reshape(n, g, g, t, t, c).transpose(0, 1, 3, 2, 4, 5)
+    return _like(image, out.reshape(n, side, side, c))
 
 
-def cutout(image: np.ndarray, center: tuple[int, int], side_px: int, fill: float = 0.0) -> np.ndarray:
-    """Fill a square of side `side_px` centered at (row, col), clipped to bounds."""
+def cutout(image: np.ndarray, center, side_px: int, fill: float = 0.0) -> np.ndarray:
+    """Fill a square of side `side_px` centered at (row, col), one center per
+    row, clipped to bounds."""
     if side_px < 0:
         raise ValueError(f"negative cutout side {side_px}")
-    if side_px == 0:
-        return image.copy()
-    h, w, _ = image.shape
-    cy, cx = center
-    half = side_px // 2
-    top, bottom = max(0, cy - half), min(h, cy - half + side_px)
-    left, right = max(0, cx - half), min(w, cx - half + side_px)
-    out = image.copy()
-    out[top:bottom, left:right] = fill
-    return out
+    batch = _batch(image)
+    n, h, w, _ = batch.shape
+    start = _per_row(center, n, 2) - side_px // 2
+    rows = (np.arange(h) >= start[:, :1]) & (np.arange(h) < start[:, :1] + side_px)
+    cols = (np.arange(w) >= start[:, 1:]) & (np.arange(w) < start[:, 1:] + side_px)
+    out = batch.copy()
+    out[rows[:, :, None] & cols[:, None, :]] = fill
+    return _like(image, out)
 
 
-def color_jitter(image: np.ndarray, mult: float, add: float) -> np.ndarray:
-    """Scale and shift all channels, then clamp back into [0, 1]."""
-    if mult <= 0:
+def color_jitter(image: np.ndarray, mult, add) -> np.ndarray:
+    """Scale and shift all channels (one factor and offset per row), then
+    clamp back into [0, 1]. The factors take the image's dtype."""
+    if np.any(np.asarray(mult) <= 0):
         raise ValueError(f"multiplicative jitter must be positive, got {mult}")
+    shape = np.shape(mult) + (1,) * 3
+    mult, add = (np.asarray(v, dtype=image.dtype).reshape(shape) for v in (mult, add))
     return np.clip(image * mult + add, 0.0, 1.0)
 
 
-def _bilinear_resize(image: np.ndarray, out_side: int) -> np.ndarray:
-    h, w, _ = image.shape
-    if h == out_side and w == out_side:
-        return image
-    # pixel-center sampling; exact identity when sizes match is handled above
-    sy = (np.arange(out_side) + 0.5) * (h / out_side) - 0.5
-    sx = (np.arange(out_side) + 0.5) * (w / out_side) - 0.5
-    y0 = np.clip(np.floor(sy).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(sy - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(sx - x0, 0.0, 1.0)[None, :, None]
-    # gather whole rows first, then columns of those rows
-    rows0, rows1 = image.take(y0, axis=0), image.take(y1, axis=0)
-    top = rows0.take(x0, axis=1) * (1 - wx) + rows0.take(x1, axis=1) * wx
-    bot = rows1.take(x0, axis=1) * (1 - wx) + rows1.take(x1, axis=1) * wx
-    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+def crop_resize(image: np.ndarray, crop_box) -> np.ndarray:
+    """Crop (top, left, side), one box per row, and resize back to the input
+    size by bilinear sampling at pixel centers.
 
-
-def crop_resize(image: np.ndarray, crop_box: tuple[int, int, int]) -> np.ndarray:
-    """Crop (top, left, side) and resize back to the input size."""
-    h, w, _ = image.shape
+    Each image row is blended across the two sampled columns, then the two
+    sampled rows of that are blended, in float64 over rows of W * C values,
+    and cast back to the image dtype; a full-size box gives the image back.
+    """
+    batch = _batch(image)
+    n, h, w, c = batch.shape
     if h != w:
-        raise ValueError(f"crop expects a square image, got {h}x{w}")
-    top, left, side = crop_box
-    if side < 1 or top < 0 or left < 0 or top + side > h or left + side > w:
+        raise ValueError(f"crop expects square images, got {h}x{w}")
+    top, left, side = _per_row(crop_box, n, 3).T[:, :, None]
+    if (side < 1).any() or (top < 0).any() or (left < 0).any() or (top + side > h).any() or (left + side > w).any():
         raise ValueError(f"crop box {crop_box} outside {h}x{w} image")
-    return np.ascontiguousarray(_bilinear_resize(image[top : top + side, left : left + side], h))
+    # crop and image are square, so rows and columns sample alike
+    s = (np.arange(h) + 0.5) * (side / h) - 0.5
+    i0 = np.clip(np.floor(s).astype(int), 0, side - 1)
+    i1 = np.minimum(i0 + 1, side - 1)
+    wt = np.clip(s - i0, 0.0, 1.0)
+    # every image row of the batch, numbered in the flattened batch
+    rows = np.arange(n * h).reshape(n, h)
+    pixels = batch.reshape(n * h * w, c)
+    x0, x1 = (pixels.take((rows[:, :, None] * w + (left + i)[:, None, :]).ravel(), axis=0) for i in (i0, i1))
+    wx = np.repeat(wt, c, axis=1)[:, None, :]
+    across = (x0.reshape(n, h, w * c) * (1 - wx) + x1.reshape(n, h, w * c) * wx).reshape(n * h, w * c)
+    y0, y1 = (across.take((rows[:, :1] + top + i).ravel(), axis=0).reshape(n, h, w * c) for i in (i0, i1))
+    wy = wt[:, :, None]
+    return _like(image, (y0 * (1 - wy) + y1 * wy).astype(batch.dtype).reshape(n, h, w, c))
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable gaussian blur with edge clamping. Off by default in the pipeline."""
     if sigma <= 0:
         return image.copy()
+    batch = _batch(image)
+    _, h, w, _ = batch.shape
     radius = max(1, int(round(3 * sigma)))
     xs = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
-    padded = np.pad(image, ((radius, radius), (0, 0), (0, 0)), mode="edge")
-    rows = sum(kernel[i] * padded[i : i + image.shape[0]] for i in range(kernel.size))
-    padded = np.pad(rows, ((0, 0), (radius, radius), (0, 0)), mode="edge")
-    out = sum(kernel[i] * padded[:, i : i + image.shape[1]] for i in range(kernel.size))
-    return out.astype(image.dtype)
+    padded = np.pad(batch, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="edge")
+    rows = sum(kernel[i] * padded[:, i : i + h] for i in range(kernel.size))
+    padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="edge")
+    out = sum(kernel[i] * padded[:, :, i : i + w] for i in range(kernel.size))
+    return _like(image, out.astype(batch.dtype))
 
 
-def compose_views(
-    image: np.ndarray,
-    config: AugmentConfig,
-    seed: int,
-    sample_id: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Produce the two augmented views of one image.
+def _crop_box(rng: np.random.Generator, scale: tuple[float, float], h: int) -> tuple[int, int, int]:
+    """(top, left, side) of a square crop; the side is drawn first."""
+    side = max(1, min(h, int(round(h * rng.uniform(*scale)))))
+    return int(rng.integers(0, h - side + 1)), int(rng.integers(0, h - side + 1)), side
 
-    Each view is an independent draw of the full pipeline; draws are
-    reproducible from (seed, sample_id, view_index) alone.
+
+def compose_views(images: np.ndarray, config: AugmentConfig, seed: int, sample_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Produce the two augmented views of every row of an (N, H, W, C) batch.
+
+    Each view of row k is an independent draw of the full pipeline from its
+    own stream, keyed on (seed, sample_ids[k], view_index) alone; each
+    stream is read in pipeline order, and each operation then runs once
+    over the batch.
     """
-    h, w, _ = image.shape
-    if h != w:
-        raise ValueError(f"compose_views expects square images, got {h}x{w}")
-    config.validate(h)
+    n, side, w, _ = images.shape
+    if side != w or len(sample_ids) != n:
+        raise ValueError(f"compose_views expects N square images and N ids, got {images.shape}, {len(sample_ids)}")
+    config.validate(side)
     views = []
     for view_index in (1, 2):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, sample_id, view_index)))
-        out = image
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, k, view_index))) for k in sample_ids]
+        out = images
         if config.crop:
-            lo, hi = config.crop_scale
-            side = int(round(h * rng.uniform(lo, hi)))
-            side = max(1, min(h, side))
-            top = int(rng.integers(0, h - side + 1))
-            left = int(rng.integers(0, w - side + 1))
-            out = crop_resize(out, (top, left, side))
+            out = crop_resize(out, [_crop_box(rng, config.crop_scale, side) for rng in rngs])
         if config.color:
-            mult = 1.0 + rng.uniform(-config.color_mult, config.color_mult)
-            offset = rng.uniform(-config.color_add, config.color_add)
-            out = color_jitter(out, mult, offset)
-        if config.flip and rng.random() < config.flip_p:
-            out = np.ascontiguousarray(out[:, ::-1])
+            m, a = config.color_mult, config.color_add
+            out = color_jitter(out, *zip(*[(1.0 + rng.uniform(-m, m), rng.uniform(-a, a)) for rng in rngs]))
+        if config.flip:
+            flip = np.array([rng.random() < config.flip_p for rng in rngs])
+            out = out.copy()
+            out[flip] = out[flip, :, ::-1]
         if config.cutout:
-            side_px = int(round(config.cutout_frac * h))
-            cy = int(rng.integers(0, h))
-            cx = int(rng.integers(0, w))
-            out = cutout(out, (cy, cx), side_px, config.cutout_fill)
+            centers = [(rng.integers(0, side), rng.integers(0, side)) for rng in rngs]
+            out = cutout(out, centers, int(round(config.cutout_frac * side)), config.cutout_fill)
         if config.blur:
             out = gaussian_blur(out, config.blur_sigma)
         if config.psa:
-            perm = rng.permutation(config.psa_grid ** 2)
-            out = patch_shuffle(out, config.psa_grid, perm)
-        views.append(np.ascontiguousarray(out, dtype=image.dtype))
+            out = patch_shuffle(out, config.psa_grid, [rng.permutation(config.psa_grid**2) for rng in rngs])
+        views.append(np.ascontiguousarray(out, dtype=images.dtype))
     return views[0], views[1]

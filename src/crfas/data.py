@@ -73,8 +73,8 @@ class ManifestRecord:
             raise ManifestError(f"unknown attack type {self.attack_type!r}")
         if (self.label == "live") != (self.attack_type == "none"):
             raise ManifestError(f"label {self.label!r} inconsistent with attack type {self.attack_type!r}")
-        if self.subject_id < 1:
-            raise ManifestError(f"subject id must be positive, got {self.subject_id}")
+        if self.subject_id < 1 or self.session < 1:
+            raise ManifestError(f"subject and session ids must be positive, got {self.subject_id}, {self.session}")
 
 
 @dataclass
@@ -158,34 +158,50 @@ _FIELDS = ("path", "subject", "session", "label", "attack", "dataset")
 
 
 def write_manifest(records: list[ManifestRecord], path: Path, header: dict | None = None) -> None:
-    lines = []
-    for key, value in (header or {}).items():
-        lines.append(f"# {key} {value}")
+    lines = [f"# {key} {value}" for key, value in (header or {}).items()]
+    if any("\t" in line or "\n" in line for line in lines):
+        raise ManifestError(f"header contains separators: {header!r}")
     for r in records:
-        if "\t" in r.path or "\n" in r.path:
-            raise ManifestError(f"path contains separators: {r.path!r}")
+        if any("\t" in text or "\n" in text for text in (r.path, r.dataset_id)):
+            raise ManifestError(f"path or dataset contains separators: {r.path!r}, {r.dataset_id!r}")
         lines.append(
             f"path={r.path}\tsubject={r.subject_id}\tsession={r.session}"
             f"\tlabel={r.label}\tattack={r.attack_type}\tdataset={r.dataset_id}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path: Path) -> list[ManifestRecord]:
+    """Read a manifest; any malformed content raises ManifestError.
+
+    Every record line holds each field exactly once and no other, `subject`
+    and `session` as ASCII decimal digits. A tab in a comment line means a record was
+    joined onto it, so it is rejected too.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ManifestError(f"cannot read manifest {path}: {e}") from e
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
+            if "\t" in line:
+                raise ManifestError(f"{path}:{lineno}: comment holds a tab: {line!r}")
             continue
         fields = {}
         for part in line.split("\t"):
-            if "=" not in part:
-                raise ManifestError(f"{path}:{lineno}: malformed field {part!r}")
-            key, value = part.split("=", 1)
+            key, eq, value = part.partition("=")
+            if not eq or key in fields:
+                raise ManifestError(f"{path}:{lineno}: malformed or repeated field {part!r}")
             fields[key] = value
         missing = [f for f in _FIELDS if f not in fields]
-        if missing:
-            raise ManifestError(f"{path}:{lineno}: missing fields {missing}")
+        unknown = [f for f in fields if f not in _FIELDS]
+        if missing or unknown:
+            raise ManifestError(f"{path}:{lineno}: missing fields {missing}, unknown fields {unknown}")
+        for key in ("subject", "session"):
+            if not (fields[key].isascii() and fields[key].isdigit()):
+                raise ManifestError(f"{path}:{lineno}: {key} {fields[key]!r} is not a decimal count")
         try:
             records.append(
                 ManifestRecord(

@@ -192,13 +192,10 @@ def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
         view_seed = _epoch_seed(config.seed, step // steps_per_epoch)
         first_id = step * config.batch_size
         rows = [labeled[i] for i in lab_stream.take(n_lab)] + [unlabeled[i] for i in unl_stream.take(n_unl)]
-        views = [
-            compose_views(images[(r.dataset_id, r.path)], config.augment, view_seed, first_id + position)
-            for position, r in enumerate(rows)
-        ]
-        x1, x2 = (Tensor(np.stack(v)) for v in zip(*views))
+        batch = np.stack([images[(r.dataset_id, r.path)] for r in rows])
+        x1, x2 = compose_views(batch, config.augment, view_seed, range(first_id, first_id + len(rows)))
         labels = np.array([1 if r.label == "spoof" else 0 for r in rows[:n_lab]])
-        yield x1, x2, labels, np.arange(len(rows)) < n_lab
+        yield Tensor(x1), Tensor(x2), labels, np.arange(len(rows)) < n_lab
 
 
 def fit(
@@ -400,7 +397,7 @@ SCORE_BATCH = 32
 def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_root: Path) -> list[ScoredSample]:
     """Score records through the encoder -> classifier path, no augmentation."""
     samples = []
-    dtype_tag = _DTYPE_TAGS[model.dtype if isinstance(model.dtype, np.dtype) else np.dtype(model.dtype)]
+    dtype_tag = _DTYPE_TAGS[np.dtype(model.dtype)]
     for start in range(0, len(records), SCORE_BATCH):
         chunk = records[start : start + SCORE_BATCH]
         x = Tensor(np.stack([load_image(r, data_root, dtype_tag) for r in chunk]))

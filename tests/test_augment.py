@@ -8,6 +8,7 @@ from crfas.augment import (
     compose_views,
     crop_resize,
     cutout,
+    gaussian_blur,
     patch_shuffle,
 )
 
@@ -99,50 +100,82 @@ class TestBasicOps:
 class TestComposeViews:
     def test_disabled_pipeline_passes_through(self):
         rng = np.random.default_rng(8)
-        img = rand_image(rng)
+        imgs = np.stack([rand_image(rng) for _ in range(3)])
         cfg = AugmentConfig(crop=False, color=False, flip=False, cutout=False, psa=False)
-        x1, x2 = compose_views(img, cfg, seed=0, sample_id=0)
-        np.testing.assert_array_equal(x1, img)
-        np.testing.assert_array_equal(x2, img)
+        x1, x2 = compose_views(imgs, cfg, seed=0, sample_ids=[0, 1, 2])
+        np.testing.assert_array_equal(x1, imgs)
+        np.testing.assert_array_equal(x2, imgs)
 
     def test_deterministic_given_key(self):
         rng = np.random.default_rng(9)
-        img = rand_image(rng)
+        imgs = np.stack([rand_image(rng) for _ in range(2)])
         cfg = AugmentConfig()
-        a1, a2 = compose_views(img, cfg, seed=11, sample_id=42)
-        b1, b2 = compose_views(img, cfg, seed=11, sample_id=42)
+        a1, a2 = compose_views(imgs, cfg, seed=11, sample_ids=[42, 43])
+        b1, b2 = compose_views(imgs, cfg, seed=11, sample_ids=[42, 43])
         np.testing.assert_array_equal(a1, b1)
         np.testing.assert_array_equal(a2, b2)
 
     def test_views_differ_between_keys(self):
         rng = np.random.default_rng(10)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         cfg = AugmentConfig()
-        a1, _ = compose_views(img, cfg, seed=11, sample_id=0)
-        b1, _ = compose_views(img, cfg, seed=11, sample_id=1)
+        a1, _ = compose_views(img, cfg, seed=11, sample_ids=[0])
+        b1, _ = compose_views(img, cfg, seed=11, sample_ids=[1])
         assert np.abs(a1 - b1).sum() > 0
 
     def test_outputs_stay_in_range(self):
         rng = np.random.default_rng(11)
-        cfg = AugmentConfig()
-        for sample_id in range(10):
-            x1, x2 = compose_views(rand_image(rng), cfg, seed=3, sample_id=sample_id)
-            for v in (x1, x2):
-                assert v.min() >= 0.0 and v.max() <= 1.0
+        imgs = np.stack([rand_image(rng) for _ in range(10)])
+        for v in compose_views(imgs, AugmentConfig(), seed=3, sample_ids=range(10)):
+            assert v.min() >= 0.0 and v.max() <= 1.0
 
     def test_psa_preserves_pre_shuffle_pixels(self):
         # the shuffle runs last, so disabling it with the same key reveals
         # the pre-shuffle intermediate
         rng = np.random.default_rng(12)
-        img = rand_image(rng)
-        with_psa, _ = compose_views(img, AugmentConfig(), seed=5, sample_id=7)
-        without, _ = compose_views(img, AugmentConfig(psa=False), seed=5, sample_id=7)
-        for c in range(3):
-            np.testing.assert_array_equal(np.sort(with_psa[..., c].ravel()), np.sort(without[..., c].ravel()))
+        imgs = np.stack([rand_image(rng) for _ in range(2)])
+        with_psa, _ = compose_views(imgs, AugmentConfig(), seed=5, sample_ids=[7, 8])
+        without, _ = compose_views(imgs, AugmentConfig(psa=False), seed=5, sample_ids=[7, 8])
+        for k in range(2):
+            for c in range(3):
+                np.testing.assert_array_equal(np.sort(with_psa[k, ..., c].ravel()), np.sort(without[k, ..., c].ravel()))
 
     def test_psa_needs_divisible_side(self):
         with pytest.raises(ValueError, match="divisible"):
-            compose_views(np.zeros((25, 25, 3)), AugmentConfig(), seed=0, sample_id=0)
+            compose_views(np.zeros((1, 25, 25, 3)), AugmentConfig(), seed=0, sample_ids=[0])
+
+    def test_one_sample_id_per_row(self):
+        with pytest.raises(ValueError, match="ids"):
+            compose_views(np.zeros((2, 24, 24, 3)), AugmentConfig(), seed=0, sample_ids=[0])
+
+
+BOXES = [(0, 0, 24), (3, 5, 13), (20, 0, 4), (1, 1, 23)]
+JITTERS = [(0.8, 0.1), (1.2, -0.05), (1.0, 0.0), (0.95, 0.02)]
+CENTERS = [(0, 0), (23, 11), (12, 12), (5, 23)]
+PERMS = list(np.random.default_rng(14).permuted(np.tile(np.arange(9), (4, 1)), axis=1))
+
+
+class TestBatchAxis:
+    """Each primitive on a batch with per-row parameters equals it row by row."""
+
+    @pytest.mark.parametrize(
+        "op, row_args, batch_args",
+        [
+            (crop_resize, [(b,) for b in BOXES], (BOXES,)),
+            (color_jitter, JITTERS, tuple(zip(*JITTERS))),
+            (cutout, [(c, 6) for c in CENTERS], (CENTERS, 6)),
+            (patch_shuffle, [(3, p) for p in PERMS], (3, PERMS)),
+            (gaussian_blur, [(1.0,)] * 4, (1.0,)),
+        ],
+        ids=["crop_resize", "color_jitter", "cutout", "patch_shuffle", "gaussian_blur"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_equals_rows(self, op, row_args, batch_args, dtype):
+        rng = np.random.default_rng(15)
+        imgs = np.stack([rand_image(rng) for _ in range(4)]).astype(dtype)
+        batched = op(imgs, *batch_args)
+        assert batched.dtype == imgs.dtype
+        np.testing.assert_array_equal(batched, np.stack([op(img, *args) for img, args in zip(imgs, row_args)]))
 
 
 class TestValidate:
@@ -172,3 +205,145 @@ class TestValidate:
     def test_range_edges_accepted(self):
         AugmentConfig(color_mult=0.0, color_add=0.0, flip_p=1.0, cutout_frac=1.0, psa_grid=1).validate(24)
         AugmentConfig(cutout_fill=1.0).validate(24)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-image pipeline that `compose_views` batches, one image and
+# one view at a time. It keeps its own copies of every operation, so it does
+# not share code with the batched primitives it checks.
+
+
+def oracle_patch_shuffle(image, g, perm):
+    t = image.shape[0] // g
+    out = np.empty_like(image)
+    for k, source in enumerate(np.asarray(perm).tolist()):
+        (oy, ox), (iy, ix) = divmod(k, g), divmod(source, g)
+        out[oy * t : (oy + 1) * t, ox * t : (ox + 1) * t] = image[iy * t : (iy + 1) * t, ix * t : (ix + 1) * t]
+    return out
+
+
+def oracle_cutout(image, center, side_px, fill):
+    if side_px == 0:
+        return image.copy()
+    h, w, _ = image.shape
+    cy, cx = center
+    half = side_px // 2
+    top, bottom = max(0, cy - half), min(h, cy - half + side_px)
+    left, right = max(0, cx - half), min(w, cx - half + side_px)
+    out = image.copy()
+    out[top:bottom, left:right] = fill
+    return out
+
+
+def oracle_bilinear_resize(image, out_side):
+    h, w, _ = image.shape
+    if h == out_side and w == out_side:
+        return image
+    sy = (np.arange(out_side) + 0.5) * (h / out_side) - 0.5
+    sx = (np.arange(out_side) + 0.5) * (w / out_side) - 0.5
+    y0 = np.clip(np.floor(sy).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(sy - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(sx - x0, 0.0, 1.0)[None, :, None]
+    rows0, rows1 = image.take(y0, axis=0), image.take(y1, axis=0)
+    top = rows0.take(x0, axis=1) * (1 - wx) + rows0.take(x1, axis=1) * wx
+    bot = rows1.take(x0, axis=1) * (1 - wx) + rows1.take(x1, axis=1) * wx
+    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+
+
+def oracle_gaussian_blur(image, sigma):
+    radius = max(1, int(round(3 * sigma)))
+    xs = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (xs / sigma) ** 2)
+    kernel /= kernel.sum()
+    padded = np.pad(image, ((radius, radius), (0, 0), (0, 0)), mode="edge")
+    rows = sum(kernel[i] * padded[i : i + image.shape[0]] for i in range(kernel.size))
+    padded = np.pad(rows, ((0, 0), (radius, radius), (0, 0)), mode="edge")
+    out = sum(kernel[i] * padded[:, i : i + image.shape[1]] for i in range(kernel.size))
+    return out.astype(image.dtype)
+
+
+def oracle_compose_views(image, config, seed, sample_id, record):
+    """Both views of one image; appends each view's (crop side, cutout center) to `record`."""
+    h, w, _ = image.shape
+    views = []
+    for view_index in (1, 2):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, sample_id, view_index)))
+        out, side, center = image, h, None
+        if config.crop:
+            lo, hi = config.crop_scale
+            side = max(1, min(h, int(round(h * rng.uniform(lo, hi)))))
+            top = int(rng.integers(0, h - side + 1))
+            left = int(rng.integers(0, w - side + 1))
+            out = np.ascontiguousarray(oracle_bilinear_resize(out[top : top + side, left : left + side], h))
+        if config.color:
+            mult = 1.0 + rng.uniform(-config.color_mult, config.color_mult)
+            offset = rng.uniform(-config.color_add, config.color_add)
+            out = np.clip(out * mult + offset, 0.0, 1.0)
+        if config.flip and rng.random() < config.flip_p:
+            out = np.ascontiguousarray(out[:, ::-1])
+        if config.cutout:
+            center = (int(rng.integers(0, h)), int(rng.integers(0, w)))
+            out = oracle_cutout(out, center, int(round(config.cutout_frac * h)), config.cutout_fill)
+        if config.blur:
+            out = oracle_gaussian_blur(out, config.blur_sigma)
+        if config.psa:
+            out = oracle_patch_shuffle(out, config.psa_grid, rng.permutation(config.psa_grid**2))
+        views.append(np.ascontiguousarray(out, dtype=image.dtype))
+        record.append((side, center))
+    return views
+
+
+# (name, overrides, sides): every config runs at each side its tile grid divides
+ORACLE_CONFIGS = [
+    ("trend", dict(crop_scale=(0.9, 1.0), cutout_frac=0.125), (24,)),
+    ("tiny", dict(psa_grid=2), (16, 24)),
+    ("grid1", dict(psa_grid=1), (16, 24)),
+    ("grid3", dict(psa_grid=3), (24,)),
+    ("grid4", dict(psa_grid=4), (16, 24)),
+    ("blur", dict(blur=True, psa_grid=4), (16, 24)),
+    ("crop_color_off", dict(crop=False, color=False, psa_grid=2), (16, 24)),
+    ("wide_crop_full_cutout_always_flip", dict(crop_scale=(0.1, 1.0), cutout_frac=1.0, flip_p=1.0, psa_grid=4), (16, 24)),
+]
+ORACLE_SEEDS = range(6)
+ORACLE_ROWS = 8
+
+
+def compare_with_oracle(overrides, side, dtype):
+    """Batched views against stacked oracle views over ORACLE_SEEDS; returns the oracle's draws."""
+    config = AugmentConfig(**overrides)
+    record = []
+    for seed in ORACLE_SEEDS:
+        rng = np.random.default_rng(100 + seed)
+        imgs = rng.random((ORACLE_ROWS, side, side, 3)).astype(dtype)
+        ids = [int(i) for i in rng.choice(10**6, ORACLE_ROWS, replace=False)]
+        x1, x2 = compose_views(imgs, config, seed, ids)
+        views = [oracle_compose_views(img, config, seed, i, record) for img, i in zip(imgs, ids)]
+        for got, want in ((x1, [v[0] for v in views]), (x2, [v[1] for v in views])):
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.tobytes() == np.stack(want).tobytes()
+    return record
+
+
+class TestMatchesPerImageOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize(
+        "overrides, side",
+        [(o, s) for _, o, sides in ORACLE_CONFIGS for s in sides],
+        ids=[f"{name}-{s}px" for name, _, sides in ORACLE_CONFIGS for s in sides],
+    )
+    def test_views_bitwise_equal(self, overrides, side, dtype):
+        compare_with_oracle(overrides, side, dtype)
+
+    def test_trend_keys_cover_full_size_crops_and_clipped_cutouts(self):
+        # the comparison above must have met the identity resize and a
+        # cutout cut off by the border, next to their ordinary cases
+        overrides, sides = ORACLE_CONFIGS[0][1:]
+        side = sides[0]
+        record = compare_with_oracle(overrides, side, np.float32)
+        cut = int(round(AugmentConfig(**overrides).cutout_frac * side))
+        clipped = [min(c) - cut // 2 < 0 or max(c) - cut // 2 + cut > side for _, c in record]
+        assert any(s == side for s, _ in record) and any(s < side for s, _ in record)
+        assert any(clipped) and not all(clipped)

@@ -105,6 +105,44 @@ class TestManifest:
         with pytest.raises(ManifestError, match="inconsistent"):
             ManifestRecord("p", 1, 1, "spoof", "none", "d0")
 
+    def test_separators_in_written_text_rejected(self, tmp_path):
+        # a tab in a comment line reads as a record joined onto it, and one
+        # in a dataset id as an extra field
+        with pytest.raises(ManifestError, match="header"):
+            write_manifest(make_records([1]), tmp_path / "m.txt", header={"note": "a\tb"})
+        with pytest.raises(ManifestError, match="separators"):
+            write_manifest([ManifestRecord("a.fimg", 1, 1, "live", "none", "d0\tnote=x")], tmp_path / "m.txt")
+
+    def test_unknown_field_rejected(self, tmp_path):
+        (tmp_path / "m.txt").write_text("path=a\tsubject=1\tsession=1\tlabel=live\tattack=none\tdataset=d0\tnote=x\n")
+        with pytest.raises(ManifestError, match="unknown fields"):
+            read_manifest(tmp_path / "m.txt")
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ManifestError, match="cannot read"):
+            read_manifest(tmp_path / "absent.txt")
+
+    def test_byte_mutations_raise_or_load_the_same_records(self, tmp_path):
+        # subjects 1-10 and sessions 1-3, so a digit replaced by "0" gives
+        # id 0 or the same id, never another valid one; path and dataset are
+        # free text, so only the other fields are compared
+        records = [
+            ManifestRecord(f"s{k:02d}_{attack}.fimg", k, 1 + k % 3, "live" if attack == "none" else "spoof", attack, f"d{k % 2}")
+            for k, attack in zip(range(1, 11), ATTACK_TYPES + ATTACK_TYPES)
+        ]
+        write_manifest(records, tmp_path / "m.txt", header={"generator": "synthetic", "seed": 7})
+        raw = (tmp_path / "m.txt").read_bytes()
+        fixed = [(r.subject_id, r.session, r.label, r.attack_type) for r in records]
+        target = tmp_path / "mutated.txt"
+        for i in range(len(raw)):
+            for byte in b"0 _+\ta\xff":
+                target.write_bytes(raw[:i] + bytes([byte]) + raw[i + 1 :])
+                try:
+                    loaded = read_manifest(target)
+                except ManifestError:
+                    continue
+                assert [(r.subject_id, r.session, r.label, r.attack_type) for r in loaded] == fixed, (i, bytes([byte]))
+
     def test_duplicate_rejected(self, tmp_path):
         records = make_records([1])
         write_manifest(records + records[:1], tmp_path / "m.txt")

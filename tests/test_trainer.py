@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from crfas.augment import AugmentConfig
+from crfas import trainer
+from crfas.augment import AugmentConfig, compose_views
 from crfas.config import to_dict
 from crfas.data import SplitSpec, SynthConfig, generate_synthetic, load_image, split
 from crfas.diffcore import Tape, Tensor
@@ -193,6 +194,25 @@ class TestFitAndEvaluate:
             )
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+
+    def test_one_augmentation_call_per_step(self, tiny_data, tmp_path, monkeypatch):
+        # labeled and unlabeled rows of a step are augmented in one call
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 0.5}))
+        assert result.unlabeled_train
+        rows_per_call = []
+
+        def counting(images, *args):
+            rows_per_call.append(len(images))
+            return compose_views(images, *args)
+
+        monkeypatch.setattr(trainer, "compose_views", counting)
+        # one step per epoch: every labeled record fits in half a batch
+        config = tiny_config(epochs=2, batch_size=2 * len(result.labeled_train), labeled_fraction_per_batch=0.5)
+        fit(build_model(TINY_MODEL, seed=3), result, config, tmp_path / "run", root)
+        steps = (tmp_path / "run" / "train.log").read_text().count("\nstep=")
+        assert steps == 2
+        assert rows_per_call == [config.batch_size] * steps
 
     def test_fit_requires_labeled_data(self, tiny_data, tmp_path):
         root, records = tiny_data
