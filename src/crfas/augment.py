@@ -1,11 +1,11 @@
 """Deterministic, seedable view augmentation, batch-first.
 
-Every operation acts on an (H, W, C) image or an (N, H, W, C) batch of
-float values in [0, 1], with one set of parameters per row, and is pure
-given them. The only randomness lives in `compose_views`, which draws each
-row's parameters from its own stream keyed on (seed, sample_id, view_index)
-and then runs each operation once over the whole batch, so a row's views
-do not depend on the other rows. Pipeline order is fixed:
+Every operation acts on an (N, H, W, C) batch of float values in [0, 1],
+with one set of parameters per row, and is pure given them. The only
+randomness lives in `compose_views`, which draws each row's parameters
+from its own stream keyed on (seed, sample_id, view_index) and then runs
+each operation once over the whole batch, so a row's views do not depend
+on the other rows. Pipeline order is fixed:
 crop -> color -> flip -> cutout -> (blur, off by default) -> patch shuffle,
 so the tile shuffle runs last and earlier draws do not depend on it.
 """
@@ -57,28 +57,17 @@ class AugmentConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
-def _batch(image: np.ndarray) -> np.ndarray:
-    """`image` as an (N, H, W, C) batch; a single (H, W, C) image is one row."""
-    return image if image.ndim == 4 else image[None]
-
-
 def _per_row(values, n: int, width: int) -> np.ndarray:
-    """`width` parameters for each of `n` rows, from one set or one set per row."""
+    """`width` parameters for each of the `n` rows."""
     return np.asarray(values).reshape(n, width)
 
 
-def _like(image: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """`batch` in the shape `image` came in: a single image loses its row axis."""
-    return batch if image.ndim == 4 else batch[0]
-
-
-def patch_shuffle(image: np.ndarray, g: int, perm) -> np.ndarray:
+def patch_shuffle(batch: np.ndarray, g: int, perm) -> np.ndarray:
     """Rearrange the g x g tile grid of square images by `perm` (one per row).
 
     Output tile at grid position k holds the input tile perm[k]; the pixel
     multiset is preserved exactly.
     """
-    batch = _batch(image)
     n, side, w, c = batch.shape
     if side != w:
         raise ValueError(f"patch_shuffle needs square images, got {side}x{w}")
@@ -90,43 +79,41 @@ def patch_shuffle(image: np.ndarray, g: int, perm) -> np.ndarray:
     t = side // g
     tiles = batch.reshape(n, g, t, g, t, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, g * g, t, t, c)
     out = tiles[np.arange(n)[:, None], perms].reshape(n, g, g, t, t, c).transpose(0, 1, 3, 2, 4, 5)
-    return _like(image, out.reshape(n, side, side, c))
+    return out.reshape(n, side, side, c)
 
 
-def cutout(image: np.ndarray, center, side_px: int, fill: float = 0.0) -> np.ndarray:
+def cutout(batch: np.ndarray, center, side_px: int, fill: float = 0.0) -> np.ndarray:
     """Fill a square of side `side_px` centered at (row, col), one center per
     row, clipped to bounds."""
     if side_px < 0:
         raise ValueError(f"negative cutout side {side_px}")
-    batch = _batch(image)
     n, h, w, _ = batch.shape
     start = _per_row(center, n, 2) - side_px // 2
     rows = (np.arange(h) >= start[:, :1]) & (np.arange(h) < start[:, :1] + side_px)
     cols = (np.arange(w) >= start[:, 1:]) & (np.arange(w) < start[:, 1:] + side_px)
     out = batch.copy()
     out[rows[:, :, None] & cols[:, None, :]] = fill
-    return _like(image, out)
+    return out
 
 
-def color_jitter(image: np.ndarray, mult, add) -> np.ndarray:
+def color_jitter(batch: np.ndarray, mult, add) -> np.ndarray:
     """Scale and shift all channels (one factor and offset per row), then
-    clamp back into [0, 1]. The factors take the image's dtype."""
+    clamp back into [0, 1]. The factors take the batch's dtype."""
     if np.any(np.asarray(mult) <= 0):
         raise ValueError(f"multiplicative jitter must be positive, got {mult}")
     shape = np.shape(mult) + (1,) * 3
-    mult, add = (np.asarray(v, dtype=image.dtype).reshape(shape) for v in (mult, add))
-    return np.clip(image * mult + add, 0.0, 1.0)
+    mult, add = (np.asarray(v, dtype=batch.dtype).reshape(shape) for v in (mult, add))
+    return np.clip(batch * mult + add, 0.0, 1.0)
 
 
-def crop_resize(image: np.ndarray, crop_box) -> np.ndarray:
+def crop_resize(batch: np.ndarray, crop_box) -> np.ndarray:
     """Crop (top, left, side), one box per row, and resize back to the input
     size by bilinear sampling at pixel centers.
 
     Each image row is blended across the two sampled columns, then the two
     sampled rows of that are blended, in float64 over rows of W * C values,
-    and cast back to the image dtype; a full-size box gives the image back.
+    and cast back to the batch dtype; a full-size box gives the image back.
     """
-    batch = _batch(image)
     n, h, w, c = batch.shape
     if h != w:
         raise ValueError(f"crop expects square images, got {h}x{w}")
@@ -146,14 +133,13 @@ def crop_resize(image: np.ndarray, crop_box) -> np.ndarray:
     across = (x0.reshape(n, h, w * c) * (1 - wx) + x1.reshape(n, h, w * c) * wx).reshape(n * h, w * c)
     y0, y1 = (across.take((rows[:, :1] + top + i).ravel(), axis=0).reshape(n, h, w * c) for i in (i0, i1))
     wy = wt[:, :, None]
-    return _like(image, (y0 * (1 - wy) + y1 * wy).astype(batch.dtype).reshape(n, h, w, c))
+    return (y0 * (1 - wy) + y1 * wy).astype(batch.dtype).reshape(n, h, w, c)
 
 
-def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_blur(batch: np.ndarray, sigma: float) -> np.ndarray:
     """Separable gaussian blur with edge clamping. Off by default in the pipeline."""
     if sigma <= 0:
-        return image.copy()
-    batch = _batch(image)
+        return batch.copy()
     _, h, w, _ = batch.shape
     radius = max(1, int(round(3 * sigma)))
     xs = np.arange(-radius, radius + 1)
@@ -163,7 +149,7 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     rows = sum(kernel[i] * padded[:, i : i + h] for i in range(kernel.size))
     padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="edge")
     out = sum(kernel[i] * padded[:, :, i : i + w] for i in range(kernel.size))
-    return _like(image, out.astype(batch.dtype))
+    return out.astype(batch.dtype)
 
 
 def _crop_box(rng: np.random.Generator, scale: tuple[float, float], h: int) -> tuple[int, int, int]:

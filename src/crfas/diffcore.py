@@ -43,10 +43,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
@@ -625,20 +623,18 @@ def batchnorm2d(
     return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
 
 
-def fold_batchnorm(
-    weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor, state: BNState, eps: float = 1e-5
-) -> tuple[Tensor, Tensor]:
-    """Eval-mode batch normalization folded into the preceding convolution.
+def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: BNState, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+    """Eval-mode batch normalization folded into the bias-free convolution before it.
 
     With s = gamma / sqrt(running_var + eps), the returned weight
-    W' = W * s[:, None, None, None] and bias b' = (b - running_mean) * s +
-    beta make conv2d(x, W', b') equal gamma * (conv2d(x, W, b) -
-    running_mean) / sqrt(running_var + eps) + beta, so the convolution's
-    bias add does all of the normalization. Eval mode is forward-only: the
-    folded tensors are fresh leaves through which no gradient reaches W, b,
-    gamma or beta, so calling this under an active tape raises StateError,
-    as does calling it before the running statistics were set by a
-    training step or a checkpoint.
+    W' = W * s[:, None, None, None] and bias b' = beta - running_mean * s
+    make conv2d(x, W', b') equal gamma * (conv2d(x, W) - running_mean) /
+    sqrt(running_var + eps) + beta, so the convolution's bias add does all
+    of the normalization. Eval mode is forward-only: the folded tensors are
+    fresh leaves through which no gradient reaches W, gamma or beta, so
+    calling this under an active tape raises StateError, as does calling it
+    before the running statistics were set by a training step or a
+    checkpoint.
     """
     if _active_tape() is not None:
         raise StateError("batch-norm eval mode is forward-only and cannot run under an active tape")
@@ -646,7 +642,7 @@ def fold_batchnorm(
         raise StateError("fold_batchnorm: eval mode before any running-statistics update; train first or load a checkpoint")
     s = gamma.data / np.sqrt(state.running_var + weight.dtype.type(eps))
     folded_weight = weight.data * s[:, None, None, None]
-    folded_bias = (bias.data - state.running_mean) * s + beta.data
+    folded_bias = beta.data - state.running_mean * s
     return Tensor(folded_weight), Tensor(folded_bias)
 
 

@@ -7,7 +7,9 @@ later block, reducing the input by a factor of 8 to an s x s feature map.
 The projector is three 1x1 Conv-BN(-ReLU) blocks with a linear last block,
 the predictor one 1x1 Conv-BN-ReLU block followed by a single 1x1
 convolution, and the classifier a single 1x1 convolution producing a
-one-channel score map.
+one-channel score map. A convolution that feeds a batch norm has no bias,
+since train-mode batch norm subtracts the batch mean and would cancel it;
+only the predictor's output convolution and the classifier carry one.
 
 Inputs, activations and every output map are channels-last, (N, H, W, C).
 `forward_views` stacks both views into one 2N batch whose batch-norm
@@ -80,11 +82,14 @@ class ViewOutputs:
 
 
 class Conv2d:
-    def __init__(self, rng, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0, dtype=np.float32):
+    """A convolution; one that feeds a batch norm is built with bias=False."""
+
+    def __init__(self, rng, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0, bias: bool = True,
+                 dtype=np.float32):
         fan_in = cin * k * k
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, k, k))
         self.weight = Tensor(w.astype(dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = padding
 
@@ -92,7 +97,8 @@ class Conv2d:
         return diffcore.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
     def named_params(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
+        params = [(f"{prefix}.weight", self.weight)]
+        return params if self.bias is None else params + [(f"{prefix}.bias", self.bias)]
 
 
 class BatchNorm2d:
@@ -111,7 +117,7 @@ class BatchNorm2d:
 
 
 class ConvBNBlock:
-    """Conv -> BN -> optional ReLU.
+    """Conv (no bias) -> BN -> optional ReLU.
 
     In eval mode the BN running statistics are folded into the convolution,
     which then runs once with the folded weight and bias. The fold is
@@ -120,7 +126,7 @@ class ConvBNBlock:
     """
 
     def __init__(self, rng, cin, cout, k, stride=1, padding=0, with_relu=True, dtype=np.float32):
-        self.conv = Conv2d(rng, cin, cout, k, stride, padding, dtype)
+        self.conv = Conv2d(rng, cin, cout, k, stride, padding, bias=False, dtype=dtype)
         self.bn = BatchNorm2d(cout, dtype=dtype)
         self.with_relu = with_relu
 
@@ -129,7 +135,7 @@ class ConvBNBlock:
             out = self.bn(self.conv(x), slabs)
         elif mode == "eval":
             conv, bn = self.conv, self.bn
-            weight, bias = diffcore.fold_batchnorm(conv.weight, conv.bias, bn.gamma, bn.beta, bn.state, bn.eps)
+            weight, bias = diffcore.fold_batchnorm(conv.weight, bn.gamma, bn.beta, bn.state, bn.eps)
             out = diffcore.conv2d(x, weight, bias, conv.stride, conv.padding)
         else:
             raise ValueError(f"unknown mode {mode!r}")

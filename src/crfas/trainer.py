@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -238,10 +239,11 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: text header with a tensor table, then raw little-endian data
+# checkpoints: text header with a tensor table and a CRC-32 of the data
+# section, then raw little-endian data
 
 
-_CKPT_MAGIC = "CRFAS-CKPT v1"
+_CKPT_MAGIC = "CRFAS-CKPT v2"
 _DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _TAG_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
@@ -283,11 +285,10 @@ def save_checkpoint(model: SiameseDenseNet, path: Path) -> None:
         blob = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         blobs.append(blob)
         offset += len(blob)
-    header.append(f"data {offset}")
+    data = b"".join(blobs)
+    header += [f"crc32 {zlib.crc32(data):08x}", f"data {offset}"]
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(("\n".join(header) + "\n").encode("ascii") + data)
 
 
 def _count(path: Path, text: str) -> int:
@@ -300,17 +301,19 @@ def _count(path: Path, text: str) -> int:
 def _parse_checkpoint(path: Path):
     """Read the header and data section; every malformed header raises CheckpointError.
 
-    The tensor table must tile the data section: each entry starts where the
-    one declared before it ends, and the last ends at `data <n>`.
+    The data section must match the `crc32` line just before `data <n>`,
+    and the tensor table must tile it: each entry starts where the one
+    declared before it ends, and the last ends at `data <n>`.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    magic = raw.partition(b"\n")[0]
     sep = raw.find(b"\ndata ")
     newline = raw.find(b"\n", sep + 1)
-    if not raw.startswith(_CKPT_MAGIC.encode() + b"\n") or sep < 0 or newline < 0:
-        raise CheckpointError(f"{path}: not a {_CKPT_MAGIC} file")
+    if magic != _CKPT_MAGIC.encode() or sep < 0 or newline < 0:
+        raise CheckpointError(f"{path}: not a {_CKPT_MAGIC} file (first line {magic[:40]!r})")
     try:
         header = raw[:newline].decode("ascii").split("\n")
     except UnicodeDecodeError as e:
@@ -319,10 +322,15 @@ def _parse_checkpoint(path: Path):
     declared = _count(path, header[-1][len("data ") :])
     if len(data) != declared:
         raise CheckpointError(f"{path}: corrupt data section, expected {declared} bytes, found {len(data)}")
+    crc = header[-2][len("crc32 ") :] if header[-2].startswith("crc32 ") else ""
+    if len(crc) != 8 or not set(crc) <= set("0123456789abcdef"):
+        raise CheckpointError(f"{path}: expected a `crc32 <8 lowercase hex digits>` line before `data`")
+    if int(crc, 16) != zlib.crc32(data):
+        raise CheckpointError(f"{path}: corrupt data section, its crc32 does not match {crc}")
     arch = None
     table = []
     end = 0
-    for line in header[1:-1]:
+    for line in header[1:-2]:
         if line.startswith("arch "):
             arch = _read_arch(path, line[5:])
             continue

@@ -238,7 +238,7 @@ def test_criterion_6_patch_shuffle():
     rng = np.random.default_rng(6)
     ok = True
     for _ in range(10):
-        img = (rng.integers(0, 256, (24, 24, 3)) / 255.0).astype(np.float32)
+        img = (rng.integers(0, 256, (1, 24, 24, 3)) / 255.0).astype(np.float32)
         perm = rng.permutation(9)
         out = patch_shuffle(img, 3, perm)
         bins = np.linspace(0, 1, 257)

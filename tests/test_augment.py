@@ -18,15 +18,16 @@ def rand_image(rng, side=24):
 
 
 class TestPatchShuffle:
+    # the primitives are batch-only; each test shuffles a one-row batch
     def test_identity_permutation_is_noop(self):
         rng = np.random.default_rng(0)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         out = patch_shuffle(img, 3, np.arange(9))
         np.testing.assert_array_equal(out, img)
 
     def test_pixel_multiset_preserved(self):
         rng = np.random.default_rng(1)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         perm = rng.permutation(9)
         out = patch_shuffle(img, 3, perm)
         for c in range(3):
@@ -34,7 +35,7 @@ class TestPatchShuffle:
 
     def test_per_channel_histogram_exact(self):
         rng = np.random.default_rng(2)
-        img = (rng.integers(0, 256, (24, 24, 3)) / 255.0).astype(np.float32)
+        img = (rng.integers(0, 256, (1, 24, 24, 3)) / 255.0).astype(np.float32)
         out = patch_shuffle(img, 3, rng.permutation(9))
         bins = np.linspace(0, 1, 257)
         for c in range(3):
@@ -42,59 +43,60 @@ class TestPatchShuffle:
 
     def test_inverse_restores_bitwise(self):
         rng = np.random.default_rng(3)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         perm = rng.permutation(9)
         inverse = np.argsort(perm)
         out = patch_shuffle(patch_shuffle(img, 3, perm), 3, inverse)
         np.testing.assert_array_equal(out, img)
 
     def test_moves_the_right_tile(self):
-        img = np.zeros((6, 6, 1))
-        img[0:3, 0:3] = 1.0  # tile 0 in scan order
+        img = np.zeros((1, 6, 6, 1))
+        img[0, 0:3, 0:3] = 1.0  # tile 0 in scan order
         perm = np.array([3, 1, 2, 0])  # output tile k takes input tile perm[k]
         out = patch_shuffle(img, 2, perm)
-        assert out[0:3, 0:3].sum() == 0.0  # received empty tile 3
-        assert out[3:6, 3:6].sum() == 9.0  # tile 3 received input tile 0
+        assert out[0, 0:3, 0:3].sum() == 0.0  # received empty tile 3
+        assert out[0, 3:6, 3:6].sum() == 9.0  # tile 3 received input tile 0
 
     def test_indivisible_side_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            patch_shuffle(np.zeros((25, 25, 3)), 3, np.arange(9))
+            patch_shuffle(np.zeros((1, 25, 25, 3)), 3, np.arange(9))
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
-            patch_shuffle(np.zeros((24, 24, 3)), 3, np.array([0] * 9))
+            patch_shuffle(np.zeros((1, 24, 24, 3)), 3, np.array([0] * 9))
 
 
 class TestBasicOps:
+    # one-row batches with one parameter set
     def test_cutout_side_zero_is_noop(self):
         rng = np.random.default_rng(4)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         np.testing.assert_array_equal(cutout(img, (5, 5), 0), img)
 
     def test_cutout_clips_at_border(self):
-        img = np.ones((8, 8, 1))
+        img = np.ones((1, 8, 8, 1))
         out = cutout(img, (0, 0), 4, fill=0.0)
-        assert out[:2, :2].sum() == 0.0
+        assert out[0, :2, :2].sum() == 0.0
         assert out.sum() == 64 - 4
 
     def test_color_identity(self):
         rng = np.random.default_rng(5)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         np.testing.assert_array_equal(color_jitter(img, 1.0, 0.0), img)
 
     def test_color_clamps(self):
-        img = np.full((4, 4, 3), 0.9)
+        img = np.full((1, 4, 4, 3), 0.9)
         out = color_jitter(img, 1.5, 0.2)
         assert out.max() <= 1.0
 
     def test_full_crop_is_noop(self):
         rng = np.random.default_rng(6)
-        img = rand_image(rng)
+        img = rand_image(rng)[None]
         np.testing.assert_array_equal(crop_resize(img, (0, 0, 24)), img)
 
     def test_crop_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="crop box"):
-            crop_resize(np.zeros((24, 24, 3)), (10, 10, 20))
+            crop_resize(np.zeros((1, 24, 24, 3)), (10, 10, 20))
 
 
 class TestComposeViews:
@@ -156,7 +158,7 @@ PERMS = list(np.random.default_rng(14).permuted(np.tile(np.arange(9), (4, 1)), a
 
 
 class TestBatchAxis:
-    """Each primitive on a batch with per-row parameters equals it row by row."""
+    """Each primitive on a batch with per-row parameters equals it on one-row batches."""
 
     @pytest.mark.parametrize(
         "op, row_args, batch_args",
@@ -175,7 +177,8 @@ class TestBatchAxis:
         imgs = np.stack([rand_image(rng) for _ in range(4)]).astype(dtype)
         batched = op(imgs, *batch_args)
         assert batched.dtype == imgs.dtype
-        np.testing.assert_array_equal(batched, np.stack([op(img, *args) for img, args in zip(imgs, row_args)]))
+        rows = [op(imgs[k : k + 1], *args) for k, args in enumerate(row_args)]
+        np.testing.assert_array_equal(batched, np.concatenate(rows))
 
 
 class TestValidate:

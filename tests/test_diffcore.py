@@ -186,9 +186,9 @@ class TestBatchNorm:
     # convolution; an identity 1x1 convolution exposes the bare normalization
 
     def test_eval_before_train_rejected(self):
-        weight, bias = Tensor(np.ones((2, 2, 1, 1), dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+        weight = Tensor(np.ones((2, 2, 1, 1), dtype=np.float32))
         with pytest.raises(StateError, match="eval mode before"):
-            fold_batchnorm(weight, bias, Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)), BNState.create(2))
+            fold_batchnorm(weight, Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)), BNState.create(2))
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(8)
@@ -197,7 +197,7 @@ class TestBatchNorm:
         batchnorm2d(Tensor(nhwc(rng.standard_normal((4, 2, 3, 3)))), gamma, beta, state)
         x = rng.standard_normal((2, 2, 3, 3))
         identity = Tensor(np.eye(2).reshape(2, 2, 1, 1))
-        out = conv2d(Tensor(nhwc(x)), *fold_batchnorm(identity, Tensor(np.zeros(2)), gamma, beta, state))
+        out = conv2d(Tensor(nhwc(x)), *fold_batchnorm(identity, gamma, beta, state))
         want = (x - state.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(state.running_var.reshape(1, 2, 1, 1) + 1e-5)
         np.testing.assert_allclose(nchw(out.data), want, rtol=1e-6)
 
@@ -205,12 +205,12 @@ class TestBatchNorm:
     def test_fold_matches_conv_then_running_stats_formula(self, stride, padding):
         rng = np.random.default_rng(23)
         x = Tensor(rng.standard_normal((3, 7, 7, 4)))
-        weight, bias = Tensor(rng.standard_normal((5, 4, 3, 3))), Tensor(rng.standard_normal(5))
+        weight = Tensor(rng.standard_normal((5, 4, 3, 3)))
         gamma, beta = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
         state = BNState(rng.standard_normal(5), rng.random(5) + 0.1, initialized=True)
         eps = 1e-3
-        out = conv2d(x, *fold_batchnorm(weight, bias, gamma, beta, state, eps), stride, padding)
-        y = conv2d(x, weight, bias, stride, padding).data
+        out = conv2d(x, *fold_batchnorm(weight, gamma, beta, state, eps), stride, padding)
+        y = conv2d(x, weight, None, stride, padding).data
         want = gamma.data * (y - state.running_mean) / np.sqrt(state.running_var + eps) + beta.data
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
@@ -218,7 +218,7 @@ class TestBatchNorm:
         ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
         state = BNState(np.zeros(2), np.ones(2), initialized=True)
         with Tape(), pytest.raises(StateError, match="forward-only"):
-            fold_batchnorm(Tensor(np.ones((2, 2, 1, 1))), zeros, ones, zeros, state)
+            fold_batchnorm(Tensor(np.ones((2, 2, 1, 1))), ones, zeros, state)
 
     def test_two_slab_call_equals_two_single_view_calls(self):
         rng = np.random.default_rng(22)

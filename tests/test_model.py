@@ -64,11 +64,17 @@ class TestBuild:
 
     def test_parameter_names_stable(self):
         names = [name for name, _ in small_model().named_params()]
+        assert len(names) == 34
         assert names[0] == "backbone.b1a.conv.weight"
         assert "projector.p3.bn.gamma" in names
         assert "predictor.out.weight" in names
         assert names[-1] == "classifier.bias"
         assert len(names) == len(set(names))
+        # a bias before batch norm cancels against the batch mean, so only
+        # the two convolutions without one keep a bias
+        assert [name for name in names if name.endswith(".bias")] == ["predictor.out.bias", "classifier.bias"]
+        assert not [name for name in names
+                    if name.startswith(("backbone.", "projector.", "predictor.block")) and name.endswith(".conv.bias")]
 
 
 class TestForwardViews:
@@ -134,9 +140,9 @@ def random_running_stats(model, rng):
 
 
 def unfolded_block(block, x):
-    """Conv, then the eval batch-norm formula on the running statistics, then ReLU."""
+    """Bias-free conv, then the eval batch-norm formula on the running statistics, then ReLU."""
     bn = block.bn
-    y = diffcore.conv2d(x, block.conv.weight, block.conv.bias, block.conv.stride, block.conv.padding).data
+    y = diffcore.conv2d(x, block.conv.weight, None, block.conv.stride, block.conv.padding).data
     y = bn.gamma.data * (y - bn.state.running_mean) / np.sqrt(bn.state.running_var + y.dtype.type(bn.eps)) + bn.beta.data
     return np.maximum(y, 0) if block.with_relu else y
 

@@ -460,6 +460,68 @@ class TestCheckpoint:
                     silent.append((i, chr(byte)))
         assert not silent, f"{len(silent)} mutations loaded different tensors, first {silent[:5]}"
 
+    def test_data_byte_flips_rejected(self, tmp_path):
+        self._randomized_checkpoint(tmp_path / "m.ckpt", seed=20)
+        raw = (tmp_path / "m.ckpt").read_bytes()
+        data_start = raw.index(b"\n", raw.index(b"\ndata ") + 1) + 1
+        path = tmp_path / "flipped.ckpt"
+        silent = []
+        for i in range(data_start, len(raw)):
+            path.write_bytes(raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1 :])
+            try:
+                load_checkpoint(path)
+            except CheckpointError as e:
+                assert "crc32" in str(e)
+                continue
+            silent.append(i - data_start)
+        assert len(raw) - data_start > 5000
+        assert not silent, f"{len(silent)} flipped data bytes loaded, first {silent[:5]}"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: None,
+            lambda line: line + b"\n" + line,
+            lambda line: line[:6] + line[6:].upper(),
+            lambda line: line[:-1],
+            lambda line: line + b"0",
+            lambda line: line.replace(b"crc32 ", b"crc32  "),
+        ],
+        ids=["missing", "repeated", "uppercase", "short", "long", "spaced"],
+    )
+    def test_malformed_crc_line_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        self._randomized_checkpoint(path, seed=21)
+        header, sep, data = path.read_bytes().partition(b"\ndata ")
+        head, _, crc_line = header.rpartition(b"\n")
+        edited = edit(crc_line)
+        assert crc_line.startswith(b"crc32 ") and edited != crc_line
+        path.write_bytes(head + (b"" if edited is None else b"\n" + edited) + sep + data)
+        with pytest.raises(CheckpointError, match="crc32|unexpected header line"):
+            load_checkpoint(path)
+
+    def test_v1_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        self._randomized_checkpoint(path, seed=22)
+        raw = path.read_bytes()
+        assert raw.startswith(b"CRFAS-CKPT v2\n")
+        # a v1 file: the old magic and no crc32 line
+        head, _, rest = raw.partition(b"\ncrc32 ")
+        path.write_bytes(b"CRFAS-CKPT v1" + head[len(b"CRFAS-CKPT v2"):] + rest[rest.index(b"\n"):])
+        with pytest.raises(CheckpointError, match="CRFAS-CKPT v1"):
+            load_checkpoint(path)
+
+    def test_stray_bias_before_batch_norm_rejected(self, tmp_path, monkeypatch):
+        model = build_model(TINY_MODEL, seed=23)
+        entries = _checkpoint_entries(model)
+        stray = ("backbone.b1a.conv.bias", np.zeros(TINY_MODEL.backbone_channels[0], dtype=np.float32))
+        monkeypatch.setattr(trainer, "_checkpoint_entries", lambda m: entries[:1] + [stray] + entries[1:])
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        monkeypatch.undo()
+        for target in (None, model):
+            with pytest.raises(CheckpointError, match=r"unexpected tensors \['backbone.b1a.conv.bias'\]"):
+                load_checkpoint(tmp_path / "m.ckpt", model=target)
+
     @staticmethod
     def _with_arch_line(path, arch_json):
         magic, _, rest = path.read_bytes().split(b"\n", 2)
