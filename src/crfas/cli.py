@@ -195,7 +195,7 @@ def _cmd_gradcheck(args) -> int:
     mask = np.array([True, True])
 
     def loss_fn():
-        views = model.forward_views(x1, x2, "train")
+        views = model.forward_views(x1, x2)
         _, total = losses.loss_overall(views, labels, mask, alpha=0.1)
         return total
 

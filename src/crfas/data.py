@@ -138,6 +138,8 @@ def read_image(path: Path) -> np.ndarray:
     if len(raw) < 12 or raw[:4] != _IMAGE_MAGIC:
         raise ManifestError(f"{path}: not a {_IMAGE_MAGIC.decode()} image (bad magic)")
     w, h = struct.unpack("<II", raw[4:12])
+    if not w or not h:
+        raise ManifestError(f"{path}: empty {w}x{h} image")
     expected = 12 + w * h * 3
     if len(raw) != expected:
         raise ManifestError(f"{path}: expected {expected} bytes for {w}x{h}, got {len(raw)}")

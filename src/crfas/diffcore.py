@@ -274,29 +274,6 @@ def gather_batch(a: Tensor, indices: np.ndarray) -> Tensor:
     return _taped(out, "gather_batch", (a,), bwd)
 
 
-def split_batch(a: Tensor, parts: int) -> list[Tensor]:
-    """Split a (parts*N, ...) batch into `parts` tensors of N rows each, without copying.
-
-    One tape record covers all parts; backward writes each part's gradient
-    back into its rows and leaves the rows of parts without one at zero.
-    """
-    if a.data.ndim < 1 or parts < 1 or a.shape[0] % parts:
-        raise ShapeError(f"split_batch: cannot split {a.shape} into {parts} equal batches")
-    outs = [Tensor(rows) for rows in np.split(a.data, parts)]
-
-    def bwd():
-        if all(o.grad is None for o in outs):
-            return
-        _accumulate(a, np.concatenate([np.zeros_like(o.data) if o.grad is None else o.grad for o in outs]))
-
-    tape = _active_tape()
-    if tape is not None and a.requires_grad:
-        for o in outs:
-            o.requires_grad = True
-        tape.record("split_batch", bwd)
-    return outs
-
-
 def l2_normalize(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
     """Normalize the last axis to unit euclidean norm, flooring the norm at `floor`.
 

@@ -14,6 +14,10 @@ sqrt(DS(H,H) * DS(F,F)) * cos(center_H, center_F) is exposed through
 
 Feature and score maps are channels-last, (N, H, W, C), so one view's map
 reshaped to (N, H*W, C) is exactly its (s^2, d) row matrices.
+
+The losses take the four 2N maps of `forward_views`, view-1 rows first;
+`_other_view` pairs row k with row k ± N, so each symmetric term is one
+mean over all 2N rows.
 """
 from __future__ import annotations
 
@@ -126,32 +130,29 @@ def lemma_terms(h: np.ndarray, f: np.ndarray) -> LemmaTerms:
 # differentiable losses on 4-D feature maps
 
 
-def _spatial_rows(x: Tensor) -> Tensor:
-    # (N, H, W, C) -> (N, H*W, C), row-major over spatial positions
-    n, h, w, c = x.shape
-    return reshape(x, (n, h * w, c))
+def _other_view(t: Tensor) -> Tensor:
+    """A 2N map with its halves exchanged: row k now holds row k + N or k - N."""
+    n = t.shape[0] // 2
+    return gather_batch(t, np.r_[n : 2 * n, 0:n])
 
 
 def _dense_similarity_mean(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean-reduced dense similarity with the target branch detached."""
+    """Dense similarity averaged over rows and position pairs."""
     if pred.shape != target.shape:
         raise ShapeError(f"dense similarity: shape mismatch {pred.shape} vs {target.shape}")
-    n, h, w, _c = pred.shape
+    n, h, w, c = pred.shape
     s2 = h * w
-    rows_p = l2_normalize(_spatial_rows(pred))
-    rows_t = l2_normalize(_spatial_rows(stop_gradient(target)))
-    sums_p = sum_axis(rows_p, 1)
-    sums_t = sum_axis(rows_t, 1)
+    sums_p = sum_axis(l2_normalize(reshape(pred, (n, s2, c))), 1)
+    sums_t = sum_axis(l2_normalize(reshape(target, (n, s2, c))), 1)
     return scale(sum_all(mul(sums_p, sums_t)), 1.0 / (n * s2 * s2))
 
 
-def loss_embedd(pred1: Tensor, emb2: Tensor, pred2: Tensor, emb1: Tensor) -> Tensor:
-    """Symmetrized embedding-consistency loss.
+def loss_embedd(pred: Tensor, emb: Tensor) -> Tensor:
+    """-DS_mean(pred, detach(other view of emb)) over 2N rows; gradients flow only into `pred`.
 
-    -1/2 * (DS_mean(pred1, detach(emb2)) + DS_mean(pred2, detach(emb1))).
-    Gradients flow only through the predictor-side arguments.
+    Equal to -1/2 * (DS_mean(pred1, detach(emb2)) + DS_mean(pred2, detach(emb1))).
     """
-    return scale(add(_dense_similarity_mean(pred1, emb2), _dense_similarity_mean(pred2, emb1)), -0.5)
+    return scale(_dense_similarity_mean(pred, _other_view(stop_gradient(emb))), -1.0)
 
 
 def mse_map(a: Tensor, b: Tensor) -> Tensor:
@@ -162,9 +163,12 @@ def mse_map(a: Tensor, b: Tensor) -> Tensor:
     return mean_all(mul(d, d))
 
 
-def loss_pred(cls_pred1: Tensor, cls_emb2: Tensor, cls_pred2: Tensor, cls_emb1: Tensor) -> Tensor:
-    """Symmetrized prediction-consistency loss; no branch is detached here."""
-    return scale(add(mse_map(cls_pred1, cls_emb2), mse_map(cls_pred2, cls_emb1)), 0.5)
+def loss_pred(cls_pred: Tensor, cls_emb: Tensor) -> Tensor:
+    """MSE(cls_pred, other view of cls_emb) over 2N rows; nothing is detached.
+
+    Equal to 1/2 * (MSE(cls_pred1, cls_emb2) + MSE(cls_pred2, cls_emb1)).
+    """
+    return mse_map(cls_pred, _other_view(cls_emb))
 
 
 def expand_label(y: int, side: int, dtype=np.float32) -> np.ndarray:
@@ -181,14 +185,15 @@ def labels_to_maps(labels: np.ndarray, side: int, dtype=np.float32) -> np.ndarra
     return np.concatenate([expand_label(int(y), side, dtype) for y in labels], axis=0)
 
 
-def loss_supervised(cls_emb1: Tensor, cls_emb2: Tensor, targets: Tensor) -> Tensor:
-    """Pixel-wise supervision of both views' encoder-path score maps.
+def loss_supervised(cls_emb: Tensor, targets: Tensor) -> Tensor:
+    """Pixel-wise supervision of encoder-path score maps against label maps.
 
-    Callers must pass labeled samples only; an empty batch is rejected.
+    Callers pass the labeled rows of view 1, then the same rows of view 2;
+    an empty batch is rejected.
     """
-    if cls_emb1.shape[0] == 0:
+    if cls_emb.shape[0] == 0:
         raise ShapeError("loss_supervised: no labeled samples in batch; callers must filter")
-    return scale(add(mse_map(cls_emb1, targets), mse_map(cls_emb2, targets)), 0.5)
+    return mse_map(cls_emb, targets)
 
 
 def loss_overall(
@@ -199,29 +204,33 @@ def loss_overall(
 ) -> tuple[LossBundle, Tensor]:
     """Combine the three terms: supervised + embedding + alpha * prediction.
 
-    `labeled_mask` marks the batch rows that carry labels; the supervised
-    term is dropped (contributes exactly 0) when no row is labeled.
-    Returns the bundle of float values and the scalar graph node.
+    `views` holds four 2N maps, view-1 rows first. `labeled_mask` marks
+    the N samples that carry labels; the supervised term is dropped
+    (contributes exactly 0) when no row is labeled. Returns the bundle of
+    float values and the scalar graph node.
     """
-    n = views.emb1.shape[0]
-    if n == 0:
+    counts = [t.shape[0] for t in (views.emb, views.pred, views.cls_emb, views.cls_pred)]
+    n = counts[0] // 2
+    if counts[0] == 0:
         raise ShapeError("loss_overall: empty batch")
+    if counts != [2 * n] * 4:
+        raise ShapeError(f"loss_overall: row counts {counts} do not pair into two views")
     mask = np.asarray(labeled_mask, dtype=bool)
     if mask.shape != (n,):
         raise ShapeError(f"labeled_mask shape {mask.shape} does not match batch {n}")
 
-    l_emb = loss_embedd(views.pred1, views.emb2, views.pred2, views.emb1)
-    l_prd = loss_pred(views.cls_pred1, views.cls_emb2, views.cls_pred2, views.cls_emb1)
+    l_emb = loss_embedd(views.pred, views.emb)
+    l_prd = loss_pred(views.cls_pred, views.cls_emb)
 
     idx = np.flatnonzero(mask)
     if idx.size:
         if labels is None or len(labels) != idx.size:
             raise ValueError("loss_overall: labeled rows present but labels missing or miscounted")
-        side = views.cls_emb1.shape[1]
-        targets = Tensor(labels_to_maps(np.asarray(labels), side, views.cls_emb1.dtype))
-        l_sup = loss_supervised(gather_batch(views.cls_emb1, idx), gather_batch(views.cls_emb2, idx), targets)
+        side = views.cls_emb.shape[1]
+        targets = Tensor(labels_to_maps(np.tile(labels, 2), side, views.cls_emb.dtype))
+        l_sup = loss_supervised(gather_batch(views.cls_emb, np.concatenate([idx, idx + n])), targets)
     else:
-        l_sup = Tensor(np.zeros((), dtype=views.cls_emb1.dtype))
+        l_sup = Tensor(np.zeros((), dtype=views.cls_emb.dtype))
 
     total = add(add(l_sup, l_emb), scale(l_prd, alpha))
     bundle = LossBundle(

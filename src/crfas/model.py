@@ -12,8 +12,10 @@ since train-mode batch norm subtracts the batch mean and would cancel it;
 only the predictor's output convolution and the classifier carry one.
 
 Inputs, activations and every output map are channels-last, (N, H, W, C).
-`forward_views` stacks both views into one 2N batch whose batch-norm
-layers normalize each view's N rows with that view's own statistics.
+`forward_views` trains on both views as one 2N batch whose batch-norm
+layers normalize each view's N rows with that view's own statistics, and
+returns its four maps unsplit: row k and row k + N are the two views of
+sample k.
 Eval mode is forward-only: each batch-norm layer is folded into its
 convolution, and running it under an active tape raises StateError.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import diffcore
 from .config import ConfigError
-from .diffcore import DTYPES, BNState, ShapeError, Tensor, split_batch
+from .diffcore import DTYPES, BNState, ShapeError, Tensor
 
 
 # three stride-2 reductions: one max-pool plus two strided convolutions
@@ -56,29 +58,15 @@ class ModelConfig:
 
 @dataclass
 class ViewOutputs:
-    """The eight maps of one symmetric forward pass.
+    """The four 2N maps of one symmetric forward pass; rows k and k + N are sample k's two views.
 
-    emb* are encoder embeddings, pred* the predictor outputs, and cls_*
-    the one-channel classifier maps of the respective inputs. Index 1/2
-    names the augmented view each map came from.
+    emb: encoder embedding; pred: predictor output; cls_emb, cls_pred: their one-channel classifier maps.
     """
 
-    emb1: Tensor
-    emb2: Tensor
-    pred1: Tensor
-    pred2: Tensor
-    cls_emb1: Tensor
-    cls_emb2: Tensor
-    cls_pred1: Tensor
-    cls_pred2: Tensor
-
-    def swapped(self) -> "ViewOutputs":
-        return ViewOutputs(
-            emb1=self.emb2, emb2=self.emb1,
-            pred1=self.pred2, pred2=self.pred1,
-            cls_emb1=self.cls_emb2, cls_emb2=self.cls_emb1,
-            cls_pred1=self.cls_pred2, cls_pred2=self.cls_pred1,
-        )
+    emb: Tensor
+    pred: Tensor
+    cls_emb: Tensor
+    cls_pred: Tensor
 
 
 class Conv2d:
@@ -206,34 +194,21 @@ class SiameseDenseNet:
     def classify(self, feature_map: Tensor) -> Tensor:
         return self.classifier(feature_map)
 
-    def forward_views(self, x1: Tensor, x2: Tensor, mode: str) -> ViewOutputs:
+    def forward_views(self, x1: Tensor, x2: Tensor) -> ViewOutputs:
         """Run both views through the shared parameters as one 2N batch.
 
-        The views are stacked along the batch axis; each batch-norm layer
-        normalizes the two N-row slabs with their own statistics, as two
-        separate passes would. The views are network inputs: no gradient
-        flows back into x1 or x2.
+        The views are stacked along the batch axis, x1's rows first; each
+        batch-norm layer normalizes the two N-row slabs with their own
+        statistics, as two separate passes would. The views are network
+        inputs: no gradient flows back into x1 or x2.
         """
         if x1.shape != x2.shape:
             raise ShapeError(f"views must share a shape, got {x1.shape} vs {x2.shape}")
         self._check_input(x1)
         x = Tensor(np.concatenate([x1.data, x2.data]))
-        emb = self._encode(x, mode, 2)
-        pred = self._predict(emb, mode, 2)
-        emb1, emb2 = split_batch(emb, 2)
-        pred1, pred2 = split_batch(pred, 2)
-        cls_emb1, cls_emb2 = split_batch(self.classifier(emb), 2)
-        cls_pred1, cls_pred2 = split_batch(self.classifier(pred), 2)
-        return ViewOutputs(
-            emb1=emb1,
-            emb2=emb2,
-            pred1=pred1,
-            pred2=pred2,
-            cls_emb1=cls_emb1,
-            cls_emb2=cls_emb2,
-            cls_pred1=cls_pred1,
-            cls_pred2=cls_pred2,
-        )
+        emb = self._encode(x, "train", 2)
+        pred = self._predict(emb, "train", 2)
+        return ViewOutputs(emb=emb, pred=pred, cls_emb=self.classifier(emb), cls_pred=self.classifier(pred))
 
     # parameter access -----------------------------------------------------
 

@@ -122,7 +122,7 @@ def train_step(
     lr = lr_at(step, total_steps, config)
     model.zero_grads()
     with Tape() as tape:
-        views = model.forward_views(x1, x2, "train")
+        views = model.forward_views(x1, x2)
         bundle, total = losses.loss_overall(views, labels, labeled_mask, config.alpha)
         if not math.isfinite(bundle.l_overall):
             raise FloatingPointError(f"non-finite loss at step {step}: {bundle}")
@@ -301,9 +301,9 @@ def _count(path: Path, text: str) -> int:
 def _parse_checkpoint(path: Path):
     """Read the header and data section; every malformed header raises CheckpointError.
 
-    The data section must match the `crc32` line just before `data <n>`,
-    and the tensor table must tile it: each entry starts where the one
-    declared before it ends, and the last ends at `data <n>`.
+    The data section must match the `crc32` line just before `data <n>`;
+    there is exactly one `arch` line; the tensor table tiles the data, each
+    entry starting where the one before it ends and the last at `data <n>`.
     """
     try:
         raw = Path(path).read_bytes()
@@ -332,6 +332,8 @@ def _parse_checkpoint(path: Path):
     end = 0
     for line in header[1:-2]:
         if line.startswith("arch "):
+            if arch is not None:
+                raise CheckpointError(f"{path}: repeated arch line")
             arch = _read_arch(path, line[5:])
             continue
         fields = line.split(" ")

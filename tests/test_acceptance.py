@@ -154,7 +154,7 @@ def test_criterion_3_gradient_suite():
     mask = np.array([True, True])
 
     def full_loss():
-        views = model.forward_views(x1, x2, "train")
+        views = model.forward_views(x1, x2)
         _, total = losses.loss_overall(views, labels, mask, alpha=0.1)
         return total
 
@@ -180,14 +180,12 @@ def test_criterion_4_stop_gradient_nullity():
         main = build_model(config, seed)
         twin = build_model(config, seed + 1000)
         rng = np.random.default_rng(seed)
-        x1 = Tensor(rng.random((2, 16, 16, 3)).astype(np.float32))
-        x2 = Tensor(rng.random((2, 16, 16, 3)).astype(np.float32))
+        # both views as one 2N batch, view 1 first
+        x = Tensor(np.concatenate([rng.random((2, 16, 16, 3)), rng.random((2, 16, 16, 3))]).astype(np.float32))
         with Tape() as tape:
-            pred1 = main.predict(main.encode(x1, "train"), "train")
-            pred2 = main.predict(main.encode(x2, "train"), "train")
-            emb1 = twin.encode(x1, "train")
-            emb2 = twin.encode(x2, "train")
-            value = losses.loss_embedd(pred1, emb2, pred2, emb1)
+            pred = main.predict(main.encode(x, "train"), "train")
+            emb = twin.encode(x, "train")
+            value = losses.loss_embedd(pred, emb)
             main.zero_grads()
             twin.zero_grads()
             tape.backward(value)
@@ -207,21 +205,17 @@ def test_criterion_5_view_swap_symmetry():
     worst = 0.0
     for _ in range(20):
         n, d, s = 3, 4, 3
-        fields = {
-            name: Tensor(rng.standard_normal((n, s, s, d)))
-            for name in ("emb1", "emb2", "pred1", "pred2")
-        }
-        fields.update(
-            {
-                name: Tensor(rng.standard_normal((n, s, s, 1)))
-                for name in ("cls_emb1", "cls_emb2", "cls_pred1", "cls_pred2")
-            }
-        )
-        views = ViewOutputs(**fields)
+        # each 2N map holds view 1's n rows, then view 2's
+        halves = [rng.standard_normal((n, s, s, d)) for _ in range(4)]
+        halves += [rng.standard_normal((n, s, s, 1)) for _ in range(4)]
+        names = ("emb", "pred", "cls_emb", "cls_pred")
+        maps = {name: np.concatenate(halves[2 * i : 2 * i + 2]) for i, name in enumerate(names)}
+        views = ViewOutputs(**{name: Tensor(m) for name, m in maps.items()})
+        swapped = ViewOutputs(**{name: Tensor(np.concatenate([m[n:], m[:n]])) for name, m in maps.items()})
         labels = np.array([1, 0])
         mask = np.array([True, True, False])
         bundle, _ = losses.loss_overall(views, labels, mask, 0.1)
-        swapped_bundle, _ = losses.loss_overall(views.swapped(), labels, mask, 0.1)
+        swapped_bundle, _ = losses.loss_overall(swapped, labels, mask, 0.1)
         worst = max(
             worst,
             abs(bundle.l_embedd - swapped_bundle.l_embedd),

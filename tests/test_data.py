@@ -82,6 +82,13 @@ class TestImageIO:
         with pytest.raises(ManifestError, match="expected"):
             read_image(tmp_path / "d.fimg")
 
+    @pytest.mark.parametrize("w, h", [(0, 0), (0, 4), (4, 0)])
+    def test_zero_extent_rejected(self, tmp_path, w, h):
+        # a header-only file is the right length for either extent being 0
+        (tmp_path / "e.fimg").write_bytes(b"FIMG" + w.to_bytes(4, "little") + h.to_bytes(4, "little"))
+        with pytest.raises(ManifestError, match="empty"):
+            read_image(tmp_path / "e.fimg")
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

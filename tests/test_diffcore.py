@@ -24,7 +24,6 @@ from crfas.diffcore import (
     stop_gradient,
     sub,
     sum_all,
-    split_batch,
     sum_axis,
 )
 
@@ -392,42 +391,6 @@ class TestElementwiseAndReductions:
 
         report = grad_check(loss_fn, {"a": a})
         assert report.passed, report.format_lines()
-
-
-class TestSplitBatch:
-    def test_parts_are_row_slabs(self):
-        a = Tensor(np.arange(6 * 2 * 2 * 3, dtype=np.float64).reshape(6, 2, 2, 3))
-        parts = split_batch(a, 2)
-        np.testing.assert_array_equal(parts[0].data, a.data[:3])
-        np.testing.assert_array_equal(parts[1].data, a.data[3:])
-
-    def test_uneven_split_rejected(self):
-        with pytest.raises(ShapeError, match="split_batch"):
-            split_batch(Tensor(np.zeros((5, 2, 2, 1))), 2)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(24)
-        a = Tensor(rng.standard_normal((4, 2, 3, 2)), requires_grad=True)
-        w = rng.standard_normal((2, 2, 3, 2))
-
-        def loss_fn():
-            first, second = split_batch(a, 2)
-            return add(sum_all(mul(first, first)), sum_all(mul(second, Tensor(w))))
-
-        report = grad_check(loss_fn, {"a": a})
-        assert report.passed, report.format_lines()
-
-    def test_part_without_gradient_gets_zero_rows(self):
-        rng = np.random.default_rng(25)
-        a = Tensor(rng.standard_normal((6, 2, 2, 3)), requires_grad=True)
-        w = rng.standard_normal((2, 2, 2, 3))
-        with Tape() as tape:
-            parts = split_batch(a, 3)
-            loss = sum_all(mul(parts[1], Tensor(w)))
-            tape.backward(loss)
-        np.testing.assert_array_equal(a.grad[2:4], w)
-        np.testing.assert_array_equal(a.grad[:2], 0.0)
-        np.testing.assert_array_equal(a.grad[4:], 0.0)
 
 
 class TestTapeAndGradCheck:

@@ -2,7 +2,21 @@
 import numpy as np
 import pytest
 
-from crfas.diffcore import ShapeError, Tape, Tensor, grad_check
+from crfas.diffcore import (
+    ShapeError,
+    Tape,
+    Tensor,
+    add,
+    gather_batch,
+    grad_check,
+    l2_normalize,
+    mul,
+    reshape,
+    scale,
+    stop_gradient,
+    sum_all,
+    sum_axis,
+)
 from crfas.losses import (
     DegenerateCenterError,
     dense_similarity,
@@ -37,15 +51,60 @@ def dense_similarity_double_loop(h, f, reduction="sum"):
 
 
 def random_views(rng, n=2, d=4, s=3, dtype=np.float64):
+    """Four 2N maps of n samples, view-1 rows first."""
     def t(shape):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
     return ViewOutputs(
-        emb1=t((n, s, s, d)), emb2=t((n, s, s, d)),
-        pred1=t((n, s, s, d)), pred2=t((n, s, s, d)),
-        cls_emb1=t((n, s, s, 1)), cls_emb2=t((n, s, s, 1)),
-        cls_pred1=t((n, s, s, 1)), cls_pred2=t((n, s, s, 1)),
+        emb=t((2 * n, s, s, d)), pred=t((2 * n, s, s, d)),
+        cls_emb=t((2 * n, s, s, 1)), cls_pred=t((2 * n, s, s, 1)),
     )
+
+
+def exchange_views(t):
+    n = t.shape[0] // 2
+    return Tensor(np.concatenate([t.data[n:], t.data[:n]]))
+
+
+# -- the paper's two-view formulas, term by term over sliced halves ----------
+
+
+def halves(t):
+    n = t.shape[0] // 2
+    return gather_batch(t, np.arange(n)), gather_batch(t, np.arange(n, 2 * n))
+
+
+def two_view_similarity(pred, target):
+    n, h, w, c = pred.shape
+    rows_p = l2_normalize(reshape(pred, (n, h * w, c)))
+    rows_t = l2_normalize(reshape(stop_gradient(target), (n, h * w, c)))
+    return scale(sum_all(mul(sum_axis(rows_p, 1), sum_axis(rows_t, 1))), 1.0 / (n * (h * w) ** 2))
+
+
+def two_view_overall(views, labels, mask, alpha):
+    """-1/2 (DS(p1, sg(e2)) + DS(p2, sg(e1))), 1/2 (MSE(cp1, ce2) + MSE(cp2, ce1)), 1/2 sup."""
+    (p1, p2), (e1, e2) = halves(views.pred), halves(views.emb)
+    (cp1, cp2), (ce1, ce2) = halves(views.cls_pred), halves(views.cls_emb)
+    l_emb = scale(add(two_view_similarity(p1, e2), two_view_similarity(p2, e1)), -0.5)
+    l_prd = scale(add(mse_map(cp1, ce2), mse_map(cp2, ce1)), 0.5)
+    idx = np.flatnonzero(mask)
+    if idx.size:
+        y = Tensor(np.concatenate([expand_label(int(v), ce1.shape[1], ce1.dtype) for v in labels]))
+        l_sup = scale(add(mse_map(gather_batch(ce1, idx), y), mse_map(gather_batch(ce2, idx), y)), 0.5)
+    else:
+        l_sup = Tensor(np.zeros((), dtype=ce1.dtype))
+    total = add(add(l_sup, l_emb), scale(l_prd, alpha))
+    return (l_sup.item(), l_emb.item(), l_prd.item(), total.item()), total
+
+
+def map_gradients(views, loss_fn):
+    maps = (views.emb, views.pred, views.cls_emb, views.cls_pred)
+    with Tape() as tape:
+        values, total = loss_fn()
+        for m in maps:
+            m.zero_grad()
+        tape.backward(total)
+    return values, [m.grad.copy() for m in maps]
 
 
 class TestDenseSimilarity:
@@ -150,31 +209,31 @@ class TestLemma:
 
 class TestLossEmbedd:
     def test_identical_unit_rows_reach_minimum(self):
-        u = np.zeros((1, 2, 2, 4))
-        u[..., 1] = 1.0  # every spatial row is e_1
+        u = np.zeros((2, 2, 2, 4))
+        u[..., 1] = 1.0  # every spatial row of both views is e_1
         t = lambda: Tensor(u.copy())
-        value = loss_embedd(t(), t(), t(), t())
+        value = loss_embedd(t(), t())
         assert value.item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(6)
-        a, b, c, d = (Tensor(rng.standard_normal((2, 2, 2, 3))) for _ in range(4))
-        assert loss_embedd(a, b, c, d).item() == pytest.approx(loss_embedd(c, d, a, b).item(), abs=1e-15)
+        pred, emb = (Tensor(rng.standard_normal((4, 2, 2, 3))) for _ in range(2))
+        assert loss_embedd(pred, emb).item() == pytest.approx(
+            loss_embedd(exchange_views(pred), exchange_views(emb)).item(), abs=1e-15
+        )
 
     def test_no_gradient_into_detached_embeddings(self):
         rng = np.random.default_rng(7)
-        pred1, emb2, pred2, emb1 = (
-            Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True) for _ in range(4)
-        )
+        pred, emb = (Tensor(rng.standard_normal((4, 2, 2, 3)), requires_grad=True) for _ in range(2))
         with Tape() as tape:
-            value = loss_embedd(pred1, emb2, pred2, emb1)
-            for t in (pred1, emb2, pred2, emb1):
+            value = loss_embedd(pred, emb)
+            for t in (pred, emb):
                 t.zero_grad()
             tape.backward(value)
-        np.testing.assert_array_equal(emb1.grad, np.zeros_like(emb1.data))
-        np.testing.assert_array_equal(emb2.grad, np.zeros_like(emb2.data))
-        assert np.abs(pred1.grad).sum() > 0
-        assert np.abs(pred2.grad).sum() > 0
+        np.testing.assert_array_equal(emb.grad, np.zeros_like(emb.data))
+        # both views' predictor rows are trained
+        assert np.abs(pred.grad[:2]).sum() > 0
+        assert np.abs(pred.grad[2:]).sum() > 0
 
     def test_matches_matrix_level_similarity(self):
         rng = np.random.default_rng(8)
@@ -188,13 +247,13 @@ class TestLossEmbedd:
             np.mean([dense_similarity(rows(p1, i), rows(e2, i), "mean") for i in range(n)])
             + np.mean([dense_similarity(rows(p2, i), rows(e1, i), "mean") for i in range(n)])
         )
-        got = loss_embedd(Tensor(p1), Tensor(e2), Tensor(p2), Tensor(e1)).item()
+        got = loss_embedd(Tensor(np.concatenate([p1, p2])), Tensor(np.concatenate([e1, e2]))).item()
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_bounded_below(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            args = [Tensor(rng.standard_normal((2, 2, 2, 3))) for _ in range(4)]
+            args = [Tensor(rng.standard_normal((4, 2, 2, 3))) for _ in range(2)]
             assert loss_embedd(*args).item() >= -1.0 - 1e-12
 
 
@@ -228,21 +287,25 @@ class TestMseAndPred:
         assert np.abs(b.grad).sum() > 0
 
     def test_pred_identical_inputs_zero(self):
-        m = Tensor(np.random.default_rng(13).random((2, 3, 3, 1)))
-        c = lambda: Tensor(m.data.copy())
-        assert loss_pred(c(), c(), c(), c()).item() == 0.0
+        m = np.random.default_rng(13).random((2, 3, 3, 1))
+        c = lambda: Tensor(np.concatenate([m, m]))  # both views give the same maps
+        assert loss_pred(c(), c()).item() == 0.0
 
     def test_pred_swap_invariance(self):
         rng = np.random.default_rng(14)
-        a, b, c, d = (Tensor(rng.standard_normal((2, 3, 3, 1))) for _ in range(4))
-        assert loss_pred(a, b, c, d).item() == pytest.approx(loss_pred(c, d, a, b).item(), abs=1e-15)
+        a, b = (Tensor(rng.standard_normal((4, 3, 3, 1))) for _ in range(2))
+        assert loss_pred(a, b).item() == pytest.approx(
+            loss_pred(exchange_views(a), exchange_views(b)).item(), abs=1e-15
+        )
 
     def test_pred_matches_direct_formula(self):
         rng = np.random.default_rng(15)
         arrays = [rng.standard_normal((2, 3, 3, 1)) for _ in range(4)]
         want = 0.5 * np.mean((arrays[0] - arrays[1]) ** 2) + 0.5 * np.mean((arrays[2] - arrays[3]) ** 2)
-        got = loss_pred(*(Tensor(a) for a in arrays)).item()
-        assert got == pytest.approx(want, rel=1e-12)
+        # cls_pred1, cls_emb2, cls_pred2, cls_emb1
+        cls_pred = Tensor(np.concatenate([arrays[0], arrays[2]]))
+        cls_emb = Tensor(np.concatenate([arrays[3], arrays[1]]))
+        assert loss_pred(cls_pred, cls_emb).item() == pytest.approx(want, rel=1e-12)
 
 
 class TestSupervised:
@@ -256,18 +319,21 @@ class TestSupervised:
             expand_label(2, 4)
 
     def test_perfect_predictions(self):
-        y = Tensor(np.concatenate([expand_label(1, 3), expand_label(0, 3)]))
-        assert loss_supervised(Tensor(y.data.copy()), Tensor(y.data.copy()), y).item() == 0.0
+        y = np.concatenate([expand_label(1, 3), expand_label(0, 3)] * 2)
+        assert loss_supervised(Tensor(y.copy()), Tensor(y)).item() == 0.0
 
     def test_half_offset(self):
-        y = Tensor(expand_label(0, 3))
-        off = Tensor(np.ones((1, 3, 3, 1), dtype=np.float32))
-        assert loss_supervised(Tensor(y.data.copy()), off, y).item() == pytest.approx(0.5)
+        y = expand_label(0, 3)
+        off = np.ones((1, 3, 3, 1), dtype=np.float32)
+        # view 1 exact, view 2 off by one everywhere
+        assert loss_supervised(Tensor(np.concatenate([y, off])), Tensor(np.concatenate([y, y]))).item() == (
+            pytest.approx(0.5)
+        )
 
     def test_empty_batch_rejected(self):
         empty = Tensor(np.zeros((0, 3, 3, 1)))
         with pytest.raises(ShapeError, match="filter"):
-            loss_supervised(empty, empty, empty)
+            loss_supervised(empty, empty)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(16)
@@ -275,7 +341,8 @@ class TestSupervised:
         b = rng.standard_normal((3, 2, 2, 1))
         y = np.concatenate([expand_label(int(v), 2, np.float64) for v in (1, 0, 1)])
         want = 0.5 * np.mean((a - y) ** 2) + 0.5 * np.mean((b - y) ** 2)
-        assert loss_supervised(Tensor(a), Tensor(b), Tensor(y)).item() == pytest.approx(want, rel=1e-12)
+        got = loss_supervised(Tensor(np.concatenate([a, b])), Tensor(np.concatenate([y, y]))).item()
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestOverall:
@@ -293,16 +360,36 @@ class TestOverall:
         mask = np.array([True, False, True, False])
         bundle, _ = loss_overall(views, labels, mask, alpha=0.1)
 
-        l_emb = loss_embedd(views.pred1, views.emb2, views.pred2, views.emb1).item()
-        l_prd = loss_pred(views.cls_pred1, views.cls_emb2, views.cls_pred2, views.cls_emb1).item()
-        y = np.concatenate([expand_label(int(v), 3, np.float64) for v in labels])
-        l_sup = loss_supervised(
-            Tensor(views.cls_emb1.data[[0, 2]]), Tensor(views.cls_emb2.data[[0, 2]]), Tensor(y)
-        ).item()
+        l_emb = loss_embedd(views.pred, views.emb).item()
+        l_prd = loss_pred(views.cls_pred, views.cls_emb).item()
+        y = np.concatenate([expand_label(int(v), 3, np.float64) for v in labels] * 2)
+        # samples 0 and 2 in view 1, then in view 2
+        l_sup = loss_supervised(Tensor(views.cls_emb.data[[0, 2, 4, 6]]), Tensor(y)).item()
         assert bundle.l_embedd == pytest.approx(l_emb, rel=1e-12)
         assert bundle.l_pred == pytest.approx(l_prd, rel=1e-12)
         assert bundle.l_supervised == pytest.approx(l_sup, rel=1e-12)
         assert bundle.l_overall == pytest.approx(l_sup + l_emb + 0.1 * l_prd, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mask", [[False] * 5, [True, False, True, True, False], [True] * 5], ids=["none", "mixed", "all"]
+    )
+    def test_matches_two_view_formulas(self, mask):
+        rng = np.random.default_rng(22)
+        mask = np.array(mask)
+        for _ in range(5):
+            views = random_views(rng, n=5)
+            labels = rng.integers(0, 2, mask.sum())
+
+            def fused():
+                bundle, total = loss_overall(views, labels, mask, alpha=0.3)
+                return (bundle.l_supervised, bundle.l_embedd, bundle.l_pred, bundle.l_overall), total
+
+            got, got_grads = map_gradients(views, fused)
+            want, want_grads = map_gradients(views, lambda: two_view_overall(views, labels, mask, 0.3))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            for g, w in zip(got_grads, want_grads):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+            assert np.abs(got_grads[0]).max() == 0.0  # the embeddings stay detached
 
     def test_default_alpha(self):
         rng = np.random.default_rng(19)
@@ -317,19 +404,28 @@ class TestOverall:
         with pytest.raises(ShapeError, match="empty"):
             loss_overall(empty, None, np.array([]))
 
+    def test_unpaired_rows_rejected(self):
+        rng = np.random.default_rng(23)
+        views = random_views(rng, n=2)
+        odd = ViewOutputs(**{k: Tensor(getattr(views, k).data[:3]) for k in views.__dataclass_fields__})
+        with pytest.raises(ShapeError, match="pair"):
+            loss_overall(odd, None, np.array([False]))
+        uneven = ViewOutputs(emb=views.emb, pred=views.pred, cls_emb=views.cls_emb,
+                             cls_pred=Tensor(views.cls_pred.data[:2]))
+        with pytest.raises(ShapeError, match="pair"):
+            loss_overall(uneven, None, np.array([False, False]))
+
     def test_full_gradcheck_with_stopgrad(self):
         rng = np.random.default_rng(21)
+        pred1, emb2, pred2, emb1 = (rng.standard_normal((2, 2, 2, 3)) for _ in range(4))
         params = {
-            "pred1": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
-            "emb2": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
-            "pred2": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
-            "emb1": Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True),
+            "pred": Tensor(np.concatenate([pred1, pred2]), requires_grad=True),
+            "emb": Tensor(np.concatenate([emb1, emb2]), requires_grad=True),
         }
 
         def loss_fn():
-            return loss_embedd(params["pred1"], params["emb2"], params["pred2"], params["emb1"])
+            return loss_embedd(params["pred"], params["emb"])
 
         report = grad_check(loss_fn, params)
         assert report.passed, report.format_lines()
-        assert report.per_param["emb1"] < 1e-6
-        assert report.per_param["emb2"] < 1e-6
+        assert report.per_param["emb"] < 1e-6

@@ -22,11 +22,12 @@ class TestBuild:
         model = build_model(ModelConfig(), seed=0)
         rng = np.random.default_rng(0)
         x = rand_input(rng, n=2, size=64)
-        views = model.forward_views(x, x, "train")
-        assert views.emb1.shape == (2, 8, 8, 64)
-        assert views.pred1.shape == (2, 8, 8, 64)
-        assert views.cls_emb1.shape == (2, 8, 8, 1)
-        assert views.cls_pred2.shape == (2, 8, 8, 1)
+        views = model.forward_views(x, x)
+        # both views' rows, view 1 first
+        assert views.emb.shape == (4, 8, 8, 64)
+        assert views.pred.shape == (4, 8, 8, 64)
+        assert views.cls_emb.shape == (4, 8, 8, 1)
+        assert views.cls_pred.shape == (4, 8, 8, 1)
 
     def test_same_seed_same_params(self):
         a = small_model(seed=123)
@@ -82,27 +83,25 @@ class TestForwardViews:
         model = small_model(seed=3)
         rng = np.random.default_rng(3)
         x = rand_input(rng)
-        views = model.forward_views(x, Tensor(x.data.copy()), "train")
-        np.testing.assert_array_equal(views.emb1.data, views.emb2.data)
-        np.testing.assert_array_equal(views.pred1.data, views.pred2.data)
-        np.testing.assert_array_equal(views.cls_emb1.data, views.cls_emb2.data)
-        np.testing.assert_array_equal(views.cls_pred1.data, views.cls_pred2.data)
+        views = model.forward_views(x, Tensor(x.data.copy()))
+        for out in (views.emb, views.pred, views.cls_emb, views.cls_pred):
+            np.testing.assert_array_equal(out.data[:2], out.data[2:])
 
     def test_swapping_views_swaps_outputs(self):
         rng = np.random.default_rng(4)
         x1, x2 = rand_input(rng), rand_input(rng)
         # train mode mutates BN stats, so compare two fresh models
-        a = small_model(seed=4).forward_views(x1, x2, "train")
-        b = small_model(seed=4).forward_views(x2, x1, "train")
-        np.testing.assert_array_equal(a.emb1.data, b.emb2.data)
-        np.testing.assert_array_equal(a.pred2.data, b.pred1.data)
-        np.testing.assert_array_equal(a.cls_emb1.data, b.cls_emb2.data)
-        np.testing.assert_array_equal(a.cls_pred1.data, b.cls_pred2.data)
+        a = small_model(seed=4).forward_views(x1, x2)
+        b = small_model(seed=4).forward_views(x2, x1)
+        np.testing.assert_array_equal(a.emb.data[:2], b.emb.data[2:])
+        np.testing.assert_array_equal(a.pred.data[2:], b.pred.data[:2])
+        np.testing.assert_array_equal(a.cls_emb.data[:2], b.cls_emb.data[2:])
+        np.testing.assert_array_equal(a.cls_pred.data[:2], b.cls_pred.data[2:])
 
     def test_eval_mode_is_repeatable(self):
         model = small_model(seed=5)
         rng = np.random.default_rng(5)
-        model.forward_views(rand_input(rng), rand_input(rng), "train")  # init BN stats
+        model.forward_views(rand_input(rng), rand_input(rng))  # init BN stats
         x = rand_input(rng)
         first = model.encode(x, "eval").data
         second = model.encode(x, "eval").data
@@ -112,7 +111,7 @@ class TestForwardViews:
         model = small_model()
         rng = np.random.default_rng(6)
         with pytest.raises(ShapeError, match="share a shape"):
-            model.forward_views(rand_input(rng, n=2), rand_input(rng, n=3), "train")
+            model.forward_views(rand_input(rng, n=2), rand_input(rng, n=3))
 
     def test_wrong_input_size_rejected(self):
         model = small_model()
@@ -182,8 +181,7 @@ class TestEvalMode:
         random_running_stats(model, rng)
         x = rand_input(rng)
         emb = model.encode(x, "eval")
-        for run in (lambda: model.encode(x, "eval"), lambda: model.predict(emb, "eval"),
-                    lambda: model.forward_views(x, x, "eval")):
+        for run in (lambda: model.encode(x, "eval"), lambda: model.predict(emb, "eval")):
             with Tape(), pytest.raises(StateError, match="forward-only"):
                 run()
 

@@ -111,14 +111,15 @@ class TestTrainStep:
         values = []
         for a, b in ((x1, x2), (x2, x1)):
             model = build_model(TINY_MODEL, seed=2)
-            views = model.forward_views(a, b, "train")
+            views = model.forward_views(a, b)
             bundle, _ = loss_overall(views, labels, mask, 0.1)
             values.append(bundle.l_overall)
         assert abs(values[0] - values[1]) <= 1e-12
 
     def test_step_records_fewer_tape_ops_than_two_view_passes(self, monkeypatch):
-        # two separate view passes recorded 103 ops at this shape; the 2N
-        # batch records each layer once
+        # two separate view passes recorded 103 ops at this shape, and
+        # splitting the 2N outputs into per-view maps 72; the losses now
+        # pair the 2N rows themselves
         recorded = []
         backward = Tape.backward
 
@@ -131,7 +132,7 @@ class TestTrainStep:
         config = tiny_config()
         optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
         train_step(model, tiny_batch(np.random.default_rng(4)), config, 0, 10, optimizer)
-        assert len(recorded) == 1 and recorded[0] < 103
+        assert len(recorded) == 1 and recorded[0] < 72
 
     def test_weight_decay_shrinks_without_gradient(self):
         model = build_model(TINY_MODEL, seed=3)
@@ -330,7 +331,7 @@ class TestFitAndEvaluate:
         model = build_model(TINY_MODEL, seed=13)
         rng = np.random.default_rng(13)
         x = Tensor(rng.random((2, 16, 16, 3)).astype(np.float32))
-        model.forward_views(x, x, "train")  # fills the batch-norm running statistics
+        model.forward_views(x, x)  # fills the batch-norm running statistics
         chunk = records[:5]
         scored = score_records(model, chunk, root)
         maps = model.classify(model.encode(Tensor(np.stack([load_image(r, root) for r in chunk])), "eval"))
@@ -366,7 +367,7 @@ class TestCheckpoint:
         model = build_model(TINY_MODEL, seed=13)
         rng = np.random.default_rng(13)
         model.forward_views(Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)),
-                            Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)), "train")
+                            Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)))
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(model, p1)
@@ -383,7 +384,7 @@ class TestCheckpoint:
         model = build_model(TINY_MODEL, seed=14)
         rng = np.random.default_rng(14)
         model.forward_views(Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)),
-                            Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)), "train")
+                            Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)))
         save_checkpoint(model, tmp_path / "m.ckpt")
         restored = load_checkpoint(tmp_path / "m.ckpt")
         x = Tensor(rng.random((1, 16, 16, 3)).astype(np.float32))
@@ -545,4 +546,17 @@ class TestCheckpoint:
         self._with_arch_line(path, edit(to_dict(TINY_MODEL)))
         for target in (None, model):
             with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(path, model=target)
+
+    def test_repeated_arch_line_rejected(self, tmp_path):
+        # tensor shapes do not depend on input_size or feature_side, so a
+        # second line saying 24 px would otherwise rebuild a 24 px model
+        model = build_model(TINY_MODEL, seed=18)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        magic, arch, rest = path.read_bytes().split(b"\n", 2)
+        other = json.dumps({**to_dict(TINY_MODEL), "input_size": 24, "feature_side": 3}, sort_keys=True)
+        path.write_bytes(b"\n".join([magic, arch, b"arch " + other.encode(), rest]))
+        for target in (None, model):
+            with pytest.raises(CheckpointError, match="repeated arch line"):
                 load_checkpoint(path, model=target)
