@@ -138,12 +138,7 @@ def _cmd_train(args) -> int:
         if value is not None:
             setattr(config, attr, value)
     config.validate()
-    split_result = dat.SplitResult(
-        labeled_train=dat.read_manifest(args.split_dir / "labeled.train.txt"),
-        unlabeled_train=dat.read_manifest(args.split_dir / "unlabeled.train.txt"),
-        dev=dat.read_manifest(args.split_dir / "dev.txt"),
-        test=dat.read_manifest(args.split_dir / "test.txt"),
-    )
+    split_result = dat.read_split(args.split_dir)
     if args.supervised_only:
         split_result.unlabeled_train = []
     batches = trainer.training_batches(split_result, config, args.data_root)

@@ -529,19 +529,25 @@ def split(records: list[ManifestRecord], spec: SplitSpec) -> SplitResult:
     return _PROTOCOLS[spec.protocol](records, spec)
 
 
+# the manifest file of each list in a split directory
+_SPLIT_FILES = {
+    "labeled_train": "labeled.train.txt",
+    "unlabeled_train": "unlabeled.train.txt",
+    "dev": "dev.txt",
+    "test": "test.txt",
+}
+
+
 def write_split(result: SplitResult, out_dir: Path, provenance: dict | None = None) -> dict[str, Path]:
     """Emit the four manifest files of a split, each with a provenance header."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = {
-        "labeled_train": "labeled.train.txt",
-        "unlabeled_train": "unlabeled.train.txt",
-        "dev": "dev.txt",
-        "test": "test.txt",
-    }
-    paths = {}
+    paths = {key: out_dir / name for key, name in _SPLIT_FILES.items()}
     for key, records in result.lists().items():
-        path = out_dir / names[key]
-        write_manifest(records, path, header={**(provenance or {}), "list": key})
-        paths[key] = path
+        write_manifest(records, paths[key], header={**(provenance or {}), "list": key})
     return paths
+
+
+def read_split(split_dir: Path) -> SplitResult:
+    """Read the four manifest files that `write_split` emits."""
+    return SplitResult(**{key: read_manifest(Path(split_dir) / name) for key, name in _SPLIT_FILES.items()})

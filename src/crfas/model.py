@@ -12,12 +12,12 @@ since train-mode batch norm subtracts the batch mean and would cancel it;
 only the predictor's output convolution and the classifier carry one.
 
 Inputs, activations and every output map are channels-last, (N, H, W, C).
-`forward_views` trains on both views as one 2N batch whose batch-norm
-layers normalize each view's N rows with that view's own statistics, and
-returns its four maps unsplit: row k and row k + N are the two views of
-sample k.
-Eval mode is forward-only: each batch-norm layer is folded into its
-convolution, and running it under an active tape raises StateError.
+There are two entry points. `forward_views(x1, x2)` trains on both views as
+one 2N batch, each view's N rows normalized with its own batch statistics,
+and returns four unsplit maps: rows k and k + N are sample k's two views.
+`encode(x)` is the forward-only eval encoder, each batch norm folded into
+its convolution with the running statistics (under an active tape it raises
+StateError); a sample's score map is `classifier(encode(x))`.
 """
 from __future__ import annotations
 
@@ -89,49 +89,41 @@ class Conv2d:
         return params if self.bias is None else params + [(f"{prefix}.bias", self.bias)]
 
 
-class BatchNorm2d:
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, dtype=np.float32):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.state = BNState.create(channels, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
-
-    def __call__(self, x: Tensor, slabs: int = 1) -> Tensor:
-        return diffcore.batchnorm2d(x, self.gamma, self.beta, self.state, self.eps, self.momentum, slabs)
-
-    def named_params(self, prefix: str):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
-
-
 class ConvBNBlock:
-    """Conv (no bias) -> BN -> optional ReLU.
+    """Conv (no bias) -> batch norm (`gamma`, `beta`, running `state`) -> optional ReLU -> optional max-pool.
 
-    In eval mode the BN running statistics are folded into the convolution,
-    which then runs once with the folded weight and bias. The fold is
-    recomputed on every call because the optimizer updates the parameters
-    in place.
+    `train` normalizes each view of a 2N batch with its own statistics;
+    `eval` folds the running statistics into the convolution, recomputed
+    on every call because the optimizer updates the parameters in place.
     """
 
-    def __init__(self, rng, cin, cout, k, stride=1, padding=0, with_relu=True, dtype=np.float32):
+    def __init__(self, rng, cin, cout, k, stride=1, padding=0, with_relu=True, pool=False, dtype=np.float32):
         self.conv = Conv2d(rng, cin, cout, k, stride, padding, bias=False, dtype=dtype)
-        self.bn = BatchNorm2d(cout, dtype=dtype)
+        self.gamma = Tensor(np.ones(cout, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.state = BNState.create(cout, dtype=dtype)
         self.with_relu = with_relu
+        self.pool = pool
 
-    def __call__(self, x: Tensor, mode: str, slabs: int = 1) -> Tensor:
-        if mode == "train":
-            out = self.bn(self.conv(x), slabs)
-        elif mode == "eval":
-            conv, bn = self.conv, self.bn
-            weight, bias = diffcore.fold_batchnorm(conv.weight, bn.gamma, bn.beta, bn.state, bn.eps)
-            out = diffcore.conv2d(x, weight, bias, conv.stride, conv.padding)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return diffcore.relu(out) if self.with_relu else out
+    def train(self, x: Tensor) -> Tensor:
+        return self._activate(diffcore.batchnorm2d(self.conv(x), self.gamma, self.beta, self.state, slabs=2))
+
+    def eval(self, x: Tensor) -> Tensor:
+        weight, bias = diffcore.fold_batchnorm(self.conv.weight, self.gamma, self.beta, self.state)
+        return self._activate(diffcore.conv2d(x, weight, bias, self.conv.stride, self.conv.padding))
+
+    def _activate(self, out: Tensor) -> Tensor:
+        if self.with_relu:
+            out = diffcore.relu(out)
+        return diffcore.maxpool2d(out, 2, 2) if self.pool else out
+
+    def named_params(self, prefix: str):
+        return self.conv.named_params(f"{prefix}.conv") + [(f"{prefix}.bn.gamma", self.gamma),
+                                                          (f"{prefix}.bn.beta", self.beta)]
 
 
 class SiameseDenseNet:
-    """Weight-shared dense encoder f (backbone + projector), predictor h, classifier c."""
+    """Shared encoder f (backbone + projector), predictor h, classifier c; `forward_views` trains, `encode` scores."""
 
     def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
         config.validate()
@@ -142,26 +134,21 @@ class SiameseDenseNet:
         d = config.embed_dim
         # construction order fixes both initialization draws and the
         # checkpoint declaration order
-        self.backbone = [
-            ConvBNBlock(rng, config.in_channels, c1, 3, 1, 1, dtype=dtype),
-            ConvBNBlock(rng, c1, c1, 3, 1, 1, dtype=dtype),
-            "pool",
-            ConvBNBlock(rng, c1, c2, 3, 2, 1, dtype=dtype),
-            ConvBNBlock(rng, c2, c2, 3, 1, 1, dtype=dtype),
-            ConvBNBlock(rng, c2, c3, 3, 2, 1, dtype=dtype),
-            ConvBNBlock(rng, c3, c3, 3, 1, 1, dtype=dtype),
-        ]
-        self.projector = [
-            ConvBNBlock(rng, c3, d, 1, dtype=dtype),
-            ConvBNBlock(rng, d, d, 1, dtype=dtype),
-            ConvBNBlock(rng, d, d, 1, with_relu=False, dtype=dtype),
-        ]
-        self.predictor_block = ConvBNBlock(rng, d, d, 1, dtype=dtype)
+        self.blocks = {
+            "backbone.b1a": ConvBNBlock(rng, config.in_channels, c1, 3, 1, 1, dtype=dtype),
+            "backbone.b1b": ConvBNBlock(rng, c1, c1, 3, 1, 1, pool=True, dtype=dtype),
+            "backbone.b2a": ConvBNBlock(rng, c1, c2, 3, 2, 1, dtype=dtype),
+            "backbone.b2b": ConvBNBlock(rng, c2, c2, 3, 1, 1, dtype=dtype),
+            "backbone.b3a": ConvBNBlock(rng, c2, c3, 3, 2, 1, dtype=dtype),
+            "backbone.b3b": ConvBNBlock(rng, c3, c3, 3, 1, 1, dtype=dtype),
+            "projector.p1": ConvBNBlock(rng, c3, d, 1, dtype=dtype),
+            "projector.p2": ConvBNBlock(rng, d, d, 1, dtype=dtype),
+            "projector.p3": ConvBNBlock(rng, d, d, 1, with_relu=False, dtype=dtype),
+            "predictor.block": ConvBNBlock(rng, d, d, 1, dtype=dtype),
+        }
+        *self.encoder, self.predictor_block = self.blocks.values()
         self.predictor_out = Conv2d(rng, d, d, 1, dtype=dtype)
         self.classifier = Conv2d(rng, d, 1, 1, dtype=dtype)
-
-    # forward pieces -------------------------------------------------------
-    # The underscored methods work on batches of `slabs` views.
 
     def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 4 or x.shape[3] != self.config.in_channels:
@@ -169,30 +156,12 @@ class SiameseDenseNet:
         if x.shape[1] != self.config.input_size or x.shape[2] != self.config.input_size:
             raise ShapeError(f"expected {self.config.input_size}px input, got {x.shape}")
 
-    def _encode(self, x: Tensor, mode: str, slabs: int) -> Tensor:
-        out = x
-        for layer in self.backbone:
-            if layer == "pool":
-                out = diffcore.maxpool2d(out, 2, 2)
-            else:
-                out = layer(out, mode, slabs)
-        for block in self.projector:
-            out = block(out, mode, slabs)
-        return out
-
-    def _predict(self, emb: Tensor, mode: str, slabs: int) -> Tensor:
-        return self.predictor_out(self.predictor_block(emb, mode, slabs))
-
-    def encode(self, x: Tensor, mode: str) -> Tensor:
-        """Dense encoder: backbone then projector, (N, H, W, C) in and out."""
+    def encode(self, x: Tensor) -> Tensor:
+        """Forward-only dense encoder, backbone then projector: (N, H, W, C) in and out."""
         self._check_input(x)
-        return self._encode(x, mode, 1)
-
-    def predict(self, emb: Tensor, mode: str) -> Tensor:
-        return self._predict(emb, mode, 1)
-
-    def classify(self, feature_map: Tensor) -> Tensor:
-        return self.classifier(feature_map)
+        for block in self.encoder:
+            x = block.eval(x)
+        return x
 
     def forward_views(self, x1: Tensor, x2: Tensor) -> ViewOutputs:
         """Run both views through the shared parameters as one 2N batch.
@@ -205,33 +174,24 @@ class SiameseDenseNet:
         if x1.shape != x2.shape:
             raise ShapeError(f"views must share a shape, got {x1.shape} vs {x2.shape}")
         self._check_input(x1)
-        x = Tensor(np.concatenate([x1.data, x2.data]))
-        emb = self._encode(x, "train", 2)
-        pred = self._predict(emb, "train", 2)
+        emb = Tensor(np.concatenate([x1.data, x2.data]))
+        for block in self.encoder:
+            emb = block.train(emb)
+        pred = self.predictor_out(self.predictor_block.train(emb))
         return ViewOutputs(emb=emb, pred=pred, cls_emb=self.classifier(emb), cls_pred=self.classifier(pred))
 
     # parameter access -----------------------------------------------------
 
-    def _named_layers(self):
-        names = ["b1a", "b1b", None, "b2a", "b2b", "b3a", "b3b"]
-        for name, layer in zip(names, self.backbone):
-            if layer != "pool":
-                yield f"backbone.{name}", layer
-        for i, block in enumerate(self.projector, 1):
-            yield f"projector.p{i}", block
-        yield "predictor.block", self.predictor_block
-
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = []
-        for prefix, block in self._named_layers():
-            out.extend(block.conv.named_params(f"{prefix}.conv"))
-            out.extend(block.bn.named_params(f"{prefix}.bn"))
+        for prefix, block in self.blocks.items():
+            out.extend(block.named_params(prefix))
         out.extend(self.predictor_out.named_params("predictor.out"))
         out.extend(self.classifier.named_params("classifier"))
         return out
 
     def named_bn_states(self) -> list[tuple[str, BNState]]:
-        return [(f"{prefix}.bn", block.bn.state) for prefix, block in self._named_layers()]
+        return [(f"{prefix}.bn", block.state) for prefix, block in self.blocks.items()]
 
     def zero_grads(self) -> None:
         for _, p in self.named_params():

@@ -21,7 +21,7 @@ import numpy as np
 from . import losses
 from .augment import AugmentConfig, compose_views
 from .config import ConfigError, from_dict, to_dict
-from .data import ManifestRecord, SplitResult, load_image
+from .data import ManifestError, ManifestRecord, SplitResult, load_image
 from .diffcore import DTYPES, Tape, Tensor
 from .metrics import ScoredSample, auc, eer_threshold, error_rates, hter, write_scores, write_summary
 from .model import ModelConfig, SiameseDenseNet, build_model
@@ -43,7 +43,6 @@ class TrainConfig:
     seed: int = 0
     labeled_fraction_per_batch: float = 0.5
     dtype: str = "f32"
-    decay_bn_params: bool = True
     model: ModelConfig = field(default_factory=ModelConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
@@ -82,24 +81,18 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
 class MomentumSGD:
     """SGD with momentum and L2 weight decay folded into the gradient."""
 
-    def __init__(self, named_params, momentum: float, weight_decay: float, decay_bn_params: bool = True):
+    def __init__(self, named_params, momentum: float, weight_decay: float):
         self.named_params = list(named_params)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.decay_bn_params = decay_bn_params
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.named_params}
-
-    def _decays(self, name: str) -> bool:
-        if self.decay_bn_params:
-            return True
-        return not (name.endswith(".gamma") or name.endswith(".beta"))
 
     def step(self, lr: float) -> None:
         for name, p in self.named_params:
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay and self._decays(name):
+            if self.weight_decay:
                 g = g + p.data.dtype.type(self.weight_decay) * p.data
             v = self.velocity[name]
             v *= p.data.dtype.type(self.momentum)
@@ -173,6 +166,15 @@ def _batch_layout(split: SplitResult, config: TrainConfig) -> tuple[int, int, in
     return n_lab, config.batch_size - n_lab, max(1, math.ceil(len(split.labeled_train) / n_lab))
 
 
+def _model_image(record: ManifestRecord, data_root: Path, dtype: str, config: ModelConfig) -> np.ndarray:
+    """Load one record's image; it must have the model's input shape."""
+    image = load_image(record, data_root, dtype)
+    want = (config.input_size, config.input_size, config.in_channels)
+    if image.shape != want:
+        raise ManifestError(f"{Path(data_root) / record.path}: image is {image.shape}, the model takes {want}")
+    return image
+
+
 def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
     """Yield the `(x1, x2, labels, mask)` batch of every training step, in order.
 
@@ -185,7 +187,7 @@ def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
     n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
     labeled, unlabeled = split.labeled_train, split.unlabeled_train
     images = {
-        (r.dataset_id, r.path): load_image(r, data_root, config.dtype) for r in (*labeled, *unlabeled)
+        (r.dataset_id, r.path): _model_image(r, data_root, config.dtype, config.model) for r in (*labeled, *unlabeled)
     }
     lab_stream = _IndexStream(len(labeled), np.random.default_rng(np.random.SeedSequence((config.seed, 1))))
     unl_stream = _IndexStream(len(unlabeled), np.random.default_rng(np.random.SeedSequence((config.seed, 2))))
@@ -224,7 +226,7 @@ def fit(
 
     if batches is None:
         batches = training_batches(split, config, data_root)
-    optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay, config.decay_bn_params)
+    optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
     with open(out_dir / "train.log", "w") as log:
         log.write(f"# config {json.dumps(to_dict(config), sort_keys=True)}\n")
         for step, batch in enumerate(batches):
@@ -410,8 +412,8 @@ def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_ro
     dtype_tag = _DTYPE_TAGS[np.dtype(model.dtype)]
     for start in range(0, len(records), SCORE_BATCH):
         chunk = records[start : start + SCORE_BATCH]
-        x = Tensor(np.stack([load_image(r, data_root, dtype_tag) for r in chunk]))
-        maps = model.classify(model.encode(x, "eval"))
+        x = Tensor(np.stack([_model_image(r, data_root, dtype_tag, model.config) for r in chunk]))
+        maps = model.classifier(model.encode(x))
         for r, m in zip(chunk, maps.data):
             samples.append(ScoredSample(score=float(m.mean()), label=r.label, attack_type=r.attack_type, path=r.path))
     return samples

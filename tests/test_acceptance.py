@@ -180,11 +180,11 @@ def test_criterion_4_stop_gradient_nullity():
         main = build_model(config, seed)
         twin = build_model(config, seed + 1000)
         rng = np.random.default_rng(seed)
-        # both views as one 2N batch, view 1 first
-        x = Tensor(np.concatenate([rng.random((2, 16, 16, 3)), rng.random((2, 16, 16, 3))]).astype(np.float32))
+        # two N-row views; forward_views runs them as one 2N batch, view 1 first
+        x1, x2 = (Tensor(rng.random((2, 16, 16, 3)).astype(np.float32)) for _ in range(2))
         with Tape() as tape:
-            pred = main.predict(main.encode(x, "train"), "train")
-            emb = twin.encode(x, "train")
+            pred = main.forward_views(x1, x2).pred
+            emb = twin.forward_views(x1, x2).emb
             value = losses.loss_embedd(pred, emb)
             main.zero_grads()
             twin.zero_grads()

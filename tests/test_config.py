@@ -18,13 +18,14 @@ NON_DEFAULT_AUGMENT = AugmentConfig(
 )
 
 # the echo of TrainConfig() that config.json, train.log and checkpoints were
-# written with before the codec replaced the per-class serializers
+# written with before the codec replaced the per-class serializers, less the
+# since-removed decay_bn_params key
 DEFAULT_TRAIN_JSON = (
     '{"alpha": 0.1, "augment": {"blur": false, "blur_sigma": 1.0, "color": true, "color_add": 0.1, '
     '"color_mult": 0.2, "crop": true, "crop_scale": [0.8, 1.0], "cutout": true, "cutout_fill": 0.0, '
     '"cutout_frac": 0.25, "flip": true, "flip_p": 0.5, "order": ["crop", "color", "flip", "cutout", "blur", "psa"], '
     '"psa": true, "psa_grid": 3}, "base_lr_end": 0.01, "base_lr_start": 0.03, "batch_size": 64, '
-    '"decay_bn_params": true, "dtype": "f32", "epochs": 30, "labeled_fraction_per_batch": 0.5, '
+    '"dtype": "f32", "epochs": 30, "labeled_fraction_per_batch": 0.5, '
     '"model": {"backbone_channels": [32, 64, 64], "embed_dim": 64, "feature_side": 8, "in_channels": 3, '
     '"input_size": 64}, "momentum": 0.9, "seed": 0, "weight_decay": 0.0001}'
 )
@@ -35,7 +36,7 @@ DEFAULT_TRAIN_JSON = (
     [
         TrainConfig(
             base_lr_start=0.05, base_lr_end=0.02, batch_size=16, momentum=0.8, weight_decay=0.0, alpha=0.3,
-            epochs=7, seed=11, labeled_fraction_per_batch=0.375, dtype="f64", decay_bn_params=False,
+            epochs=7, seed=11, labeled_fraction_per_batch=0.375, dtype="f64",
             model=NON_DEFAULT_MODEL, augment=NON_DEFAULT_AUGMENT,
         ),
         NON_DEFAULT_MODEL,
@@ -69,7 +70,7 @@ def test_omitted_fields_keep_defaults_and_lists_become_typed_tuples():
         ({"augment": {"bogus": 1}}, "unknown AugmentConfig fields"),
         ({"augment": {"flip": "false"}}, "AugmentConfig.flip must be bool"),
         ({"augment": {"psa": "no"}}, "AugmentConfig.psa must be bool"),
-        ({"decay_bn_params": 1}, "decay_bn_params must be bool"),
+        ({"augment": {"crop": 1}}, "AugmentConfig.crop must be bool"),
         ({"batch_size": 4.5}, "batch_size must be int"),
         ({"epochs": True}, "epochs must be int"),
         ({"alpha": "0.1"}, "alpha must be float"),

@@ -14,6 +14,7 @@ from crfas.data import (
     load_image,
     read_image,
     read_manifest,
+    read_split,
     split,
     write_image,
     write_manifest,
@@ -376,3 +377,10 @@ class TestSpecValidation:
         ]
         again = read_manifest(paths["labeled_train"])
         assert again == result.labeled_train
+
+    def test_read_split_round_trips_write_split(self, tmp_path):
+        records = make_records(range(1, 11))
+        result = split(records, SplitSpec(1, {"label_fraction": 0.5}))
+        assert all(result.lists().values())
+        write_split(result, tmp_path / "split", {"protocol": 1})
+        assert read_split(tmp_path / "split") == result

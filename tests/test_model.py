@@ -56,7 +56,7 @@ class TestBuild:
         # ReLU would clamp negatives away; the projector output must keep them
         model = small_model(seed=7)
         rng = np.random.default_rng(7)
-        emb = model.encode(rand_input(rng, n=4), "train")
+        emb = model.forward_views(rand_input(rng, n=4), rand_input(rng, n=4)).emb
         assert (emb.data < 0).any()
 
     def test_classifier_is_single_1x1_conv(self):
@@ -103,8 +103,8 @@ class TestForwardViews:
         rng = np.random.default_rng(5)
         model.forward_views(rand_input(rng), rand_input(rng))  # init BN stats
         x = rand_input(rng)
-        first = model.encode(x, "eval").data
-        second = model.encode(x, "eval").data
+        first = model.encode(x).data
+        second = model.encode(x).data
         np.testing.assert_array_equal(first, second)
 
     def test_shape_mismatch_rejected(self):
@@ -117,14 +117,18 @@ class TestForwardViews:
         model = small_model()
         rng = np.random.default_rng(6)
         with pytest.raises(ShapeError):
-            model.encode(rand_input(rng, size=32), "train")
+            model.forward_views(rand_input(rng, size=32), rand_input(rng, size=32))
+        with pytest.raises(ShapeError):
+            model.encode(rand_input(rng, size=32))
 
     def test_classifier_shared_between_paths(self):
-        # same map through classify twice gives the identical result
+        # one classifier scores both maps; the same map through it twice gives the identical result
         model = small_model(seed=8)
         rng = np.random.default_rng(8)
-        emb = model.encode(rand_input(rng), "train")
-        np.testing.assert_array_equal(model.classify(emb).data, model.classify(emb).data)
+        views = model.forward_views(rand_input(rng), rand_input(rng))
+        for emb, cls in ((views.emb, views.cls_emb), (views.pred, views.cls_pred)):
+            np.testing.assert_array_equal(model.classifier(emb).data, cls.data)
+            np.testing.assert_array_equal(model.classifier(emb).data, model.classifier(emb).data)
 
 
 def random_running_stats(model, rng):
@@ -139,26 +143,19 @@ def random_running_stats(model, rng):
 
 
 def unfolded_block(block, x):
-    """Bias-free conv, then the eval batch-norm formula on the running statistics, then ReLU."""
-    bn = block.bn
+    """Bias-free conv, the eval batch-norm formula on the running statistics, then the block's ReLU and pool."""
+    state = block.state
     y = diffcore.conv2d(x, block.conv.weight, None, block.conv.stride, block.conv.padding).data
-    y = bn.gamma.data * (y - bn.state.running_mean) / np.sqrt(bn.state.running_var + y.dtype.type(bn.eps)) + bn.beta.data
-    return np.maximum(y, 0) if block.with_relu else y
+    y = block.gamma.data * (y - state.running_mean) / np.sqrt(state.running_var + y.dtype.type(1e-5)) + block.beta.data
+    y = np.maximum(y, 0) if block.with_relu else y
+    return diffcore.maxpool2d(Tensor(y), 2, 2).data if block.pool else y
 
 
 def unfolded_encode(model, x):
     out = x.data
-    for layer in model.backbone + model.projector:
-        if layer == "pool":
-            out = diffcore.maxpool2d(Tensor(out), 2, 2).data
-        else:
-            out = unfolded_block(layer, Tensor(out))
+    for block in model.encoder:
+        out = unfolded_block(block, Tensor(out))
     return out
-
-
-def unfolded_predict(model, emb):
-    hidden = unfolded_block(model.predictor_block, emb)
-    return model.predictor_out(Tensor(hidden)).data
 
 
 class TestEvalMode:
@@ -168,24 +165,49 @@ class TestEvalMode:
         rng = np.random.default_rng(9)
         random_running_stats(model, rng)
         x = rand_input(rng, n=3, dtype=model.dtype)
-        emb = model.encode(x, "eval")
-        pred = model.predict(emb, "eval")
-        for got, want in ((emb.data, unfolded_encode(model, x)), (pred.data, unfolded_predict(model, emb))):
-            assert got.dtype == model.dtype
-            err = np.abs(got - want).max()
-            assert (err <= tol) if dtype == "f64" else (err <= tol * np.abs(want).max()), err
+        got, want = model.encode(x).data, unfolded_encode(model, x)
+        assert got.dtype == model.dtype
+        err = np.abs(got - want).max()
+        assert (err <= tol) if dtype == "f64" else (err <= tol * np.abs(want).max()), err
 
     def test_eval_under_tape_rejected(self):
         model = small_model(seed=10)
         rng = np.random.default_rng(10)
         random_running_stats(model, rng)
         x = rand_input(rng)
-        emb = model.encode(x, "eval")
-        for run in (lambda: model.encode(x, "eval"), lambda: model.predict(emb, "eval")):
-            with Tape(), pytest.raises(StateError, match="forward-only"):
-                run()
+        model.encode(x)
+        with Tape(), pytest.raises(StateError, match="forward-only"):
+            model.encode(x)
 
-    def test_unknown_mode_rejected(self):
-        model = small_model()
-        with pytest.raises(ValueError, match="unknown mode"):
-            model.encode(rand_input(np.random.default_rng(11)), "test")
+
+def kernel_calls(run):
+    """Count the diffcore kernel calls made by `run()`, seen at the module attributes the tracer patches."""
+    counts = dict.fromkeys(("conv2d", "batchnorm2d", "relu", "maxpool2d", "fold_batchnorm"), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            def counted(*args, _name=name, _kernel=getattr(diffcore, name), **kwargs):
+                counts[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            mp.setattr(diffcore, name, counted)
+        run()
+    return counts
+
+
+class TestKernelCalls:
+    def test_forward_views_calls(self):
+        model = small_model(seed=12)
+        rng = np.random.default_rng(12)
+        x1, x2 = rand_input(rng), rand_input(rng)
+        counts = kernel_calls(lambda: model.forward_views(x1, x2))
+        # 10 conv-BN blocks (9 with ReLU, one pooled), the predictor's output conv and the classifier on both maps
+        assert counts == {"conv2d": 13, "batchnorm2d": 10, "relu": 9, "maxpool2d": 1, "fold_batchnorm": 0}
+
+    def test_encode_calls(self):
+        model = small_model(seed=13)
+        rng = np.random.default_rng(13)
+        random_running_stats(model, rng)
+        x = rand_input(rng)
+        counts = kernel_calls(lambda: model.encode(x))
+        # the 9 encoder blocks, each batch norm folded into its conv; projector.p3 is linear
+        assert counts == {"conv2d": 9, "batchnorm2d": 0, "relu": 8, "maxpool2d": 1, "fold_batchnorm": 9}

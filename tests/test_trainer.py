@@ -1,6 +1,8 @@
 """Trainer tests: schedule, SGD, step semantics, determinism, checkpoints."""
 import json
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from crfas import trainer
 from crfas.augment import AugmentConfig, compose_views
 from crfas.config import to_dict
-from crfas.data import SplitSpec, SynthConfig, generate_synthetic, load_image, split
+from crfas.data import ManifestError, SplitSpec, SynthConfig, generate_synthetic, load_image, split, write_image
 from crfas.diffcore import Tape, Tensor
 from crfas.losses import loss_overall
 from crfas.metrics import error_rates, far_frr
@@ -143,16 +145,6 @@ class TestTrainStep:
         before = w.data.copy()
         optimizer.step(lr=1.0)
         np.testing.assert_allclose(w.data, before * (1 - 0.1), rtol=1e-6)
-
-    def test_bn_decay_exclusion_flag(self):
-        model = build_model(TINY_MODEL, seed=3)
-        params = model.named_params()
-        optimizer = MomentumSGD(params, momentum=0.0, weight_decay=0.1, decay_bn_params=False)
-        gamma = dict(params)["backbone.b1a.bn.gamma"]
-        gamma.zero_grad()
-        before = gamma.data.copy()
-        optimizer.step(lr=1.0)
-        np.testing.assert_array_equal(gamma.data, before)
 
 
 class TestIndexStream:
@@ -334,7 +326,7 @@ class TestFitAndEvaluate:
         model.forward_views(x, x)  # fills the batch-norm running statistics
         chunk = records[:5]
         scored = score_records(model, chunk, root)
-        maps = model.classify(model.encode(Tensor(np.stack([load_image(r, root) for r in chunk])), "eval"))
+        maps = model.classifier(model.encode(Tensor(np.stack([load_image(r, root) for r in chunk]))))
         assert [s.path for s in scored] == [r.path for r in chunk]
         assert [s.score for s in scored] == [float(m.mean()) for m in maps.data]
 
@@ -360,6 +352,37 @@ class TestFitAndEvaluate:
         # scoring the data it converged on should be nearly error-free
         summary = evaluate(final, result.labeled_train, tmp_path / "data", dev_records=result.labeled_train)
         assert summary["acer"] <= 0.1
+
+
+def data_with_one_24px_image(root, record, tmp_path):
+    """A copy of the 16 px data set in which `record`'s image is 24 px."""
+    copy = tmp_path / "data"
+    shutil.copytree(root, copy)
+    write_image(copy / record.path, np.zeros((24, 24, 3), dtype=np.uint8))
+    return copy
+
+
+class TestImageShape:
+    def test_wrong_size_training_image_rejected_before_any_step(self, tiny_data, tmp_path):
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 0.5}))
+        bad = result.labeled_train[-1]
+        data_root = data_with_one_24px_image(root, bad, tmp_path)
+        with pytest.raises(ManifestError, match=re.escape(bad.path)):
+            fit(build_model(TINY_MODEL, seed=0), result, tiny_config(), tmp_path / "train", data_root)
+        log = (tmp_path / "train" / "train.log").read_text().splitlines()
+        assert not [line for line in log if line.startswith("step=")]
+
+    def test_wrong_size_test_image_rejected(self, tiny_data, tmp_path):
+        root, records = tiny_data
+        bad = records[-1]
+        data_root = data_with_one_24px_image(root, bad, tmp_path)
+        model = build_model(TINY_MODEL, seed=1)
+        x = Tensor(np.random.default_rng(1).random((2, 16, 16, 3)).astype(np.float32))
+        model.forward_views(x, x)  # fills the batch-norm running statistics
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        with pytest.raises(ManifestError, match=re.escape(bad.path)):
+            evaluate(tmp_path / "m.ckpt", records, data_root, threshold=0.0)
 
 
 class TestCheckpoint:
@@ -388,7 +411,7 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path / "m.ckpt")
         restored = load_checkpoint(tmp_path / "m.ckpt")
         x = Tensor(rng.random((1, 16, 16, 3)).astype(np.float32))
-        np.testing.assert_array_equal(restored.encode(x, "eval").data, model.encode(x, "eval").data)
+        np.testing.assert_array_equal(restored.encode(x).data, model.encode(x).data)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = build_model(TINY_MODEL, seed=15)
