@@ -5,56 +5,40 @@ with one set of parameters per row, and is pure given them. The only
 randomness lives in `compose_views`, which draws each row's parameters
 from its own stream keyed on (seed, sample_id, view_index) and then runs
 each operation once over the whole batch, so a row's views do not depend
-on the other rows. Pipeline order is fixed:
-crop -> color -> flip -> cutout -> (blur, off by default) -> patch shuffle,
+on the other rows. There is one pipeline, always run in full:
+crop -> color -> flip -> cutout -> patch shuffle,
 so the tile shuffle runs last and earlier draws do not depend on it.
+`AugmentConfig` sets the crop scale range, the cutout side and the tile
+grid; the colour ranges and the flip probability are constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-PIPELINE_ORDER = ("crop", "color", "flip", "cutout", "blur", "psa")
+# color factor 1 + U(-COLOR_MULT, COLOR_MULT), offset U(-COLOR_ADD, COLOR_ADD)
+COLOR_MULT = 0.2
+COLOR_ADD = 0.1
+FLIP_P = 0.5
 
 
 @dataclass
 class AugmentConfig:
-    crop: bool = True
     crop_scale: tuple[float, float] = (0.8, 1.0)
-    color: bool = True
-    color_mult: float = 0.2
-    color_add: float = 0.1
-    flip: bool = True
-    flip_p: float = 0.5
-    cutout: bool = True
     cutout_frac: float = 0.25
-    cutout_fill: float = 0.0
-    psa: bool = True
     psa_grid: int = 3
-    blur: bool = False
-    blur_sigma: float = 1.0
-
-    # echoed into every config so a reader can check which pipeline it
-    # describes; not settable, and a read order must equal this one
-    order: tuple[str, ...] = field(default=PIPELINE_ORDER, init=False)
 
     def validate(self, side: int) -> None:
         if self.psa_grid < 1:
             raise ValueError(f"psa_grid must be >= 1, got {self.psa_grid}")
-        if self.psa and side % self.psa_grid:
+        if side % self.psa_grid:
             raise ValueError(f"image side {side} not divisible by patch grid {self.psa_grid}")
         if not (0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0):
             raise ValueError(f"bad crop scale range {self.crop_scale}")
-        # keeps the color multiplier 1 + U(-m, m) positive
-        if not 0.0 <= self.color_mult < 1.0:
-            raise ValueError(f"color_mult must be in [0, 1), got {self.color_mult}")
-        if not self.color_add >= 0.0:
-            raise ValueError(f"color_add must be >= 0, got {self.color_add}")
-        for name in ("flip_p", "cutout_frac", "cutout_fill"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.cutout_frac <= 1.0:
+            raise ValueError(f"cutout_frac must be in [0, 1], got {self.cutout_frac}")
 
 
 def _per_row(values, n: int, width: int) -> np.ndarray:
@@ -82,8 +66,8 @@ def patch_shuffle(batch: np.ndarray, g: int, perm) -> np.ndarray:
     return out.reshape(n, side, side, c)
 
 
-def cutout(batch: np.ndarray, center, side_px: int, fill: float = 0.0) -> np.ndarray:
-    """Fill a square of side `side_px` centered at (row, col), one center per
+def cutout(batch: np.ndarray, center, side_px: int) -> np.ndarray:
+    """Zero a square of side `side_px` centered at (row, col), one center per
     row, clipped to bounds."""
     if side_px < 0:
         raise ValueError(f"negative cutout side {side_px}")
@@ -92,7 +76,7 @@ def cutout(batch: np.ndarray, center, side_px: int, fill: float = 0.0) -> np.nda
     rows = (np.arange(h) >= start[:, :1]) & (np.arange(h) < start[:, :1] + side_px)
     cols = (np.arange(w) >= start[:, 1:]) & (np.arange(w) < start[:, 1:] + side_px)
     out = batch.copy()
-    out[rows[:, :, None] & cols[:, None, :]] = fill
+    out[rows[:, :, None] & cols[:, None, :]] = 0.0
     return out
 
 
@@ -136,22 +120,6 @@ def crop_resize(batch: np.ndarray, crop_box) -> np.ndarray:
     return (y0 * (1 - wy) + y1 * wy).astype(batch.dtype).reshape(n, h, w, c)
 
 
-def gaussian_blur(batch: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable gaussian blur with edge clamping. Off by default in the pipeline."""
-    if sigma <= 0:
-        return batch.copy()
-    _, h, w, _ = batch.shape
-    radius = max(1, int(round(3 * sigma)))
-    xs = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (xs / sigma) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(batch, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="edge")
-    rows = sum(kernel[i] * padded[:, i : i + h] for i in range(kernel.size))
-    padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="edge")
-    out = sum(kernel[i] * padded[:, :, i : i + w] for i in range(kernel.size))
-    return out.astype(batch.dtype)
-
-
 def _crop_box(rng: np.random.Generator, scale: tuple[float, float], h: int) -> tuple[int, int, int]:
     """(top, left, side) of a square crop; the side is drawn first."""
     side = max(1, min(h, int(round(h * rng.uniform(*scale)))))
@@ -173,22 +141,13 @@ def compose_views(images: np.ndarray, config: AugmentConfig, seed: int, sample_i
     views = []
     for view_index in (1, 2):
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, k, view_index))) for k in sample_ids]
-        out = images
-        if config.crop:
-            out = crop_resize(out, [_crop_box(rng, config.crop_scale, side) for rng in rngs])
-        if config.color:
-            m, a = config.color_mult, config.color_add
-            out = color_jitter(out, *zip(*[(1.0 + rng.uniform(-m, m), rng.uniform(-a, a)) for rng in rngs]))
-        if config.flip:
-            flip = np.array([rng.random() < config.flip_p for rng in rngs])
-            out = out.copy()
-            out[flip] = out[flip, :, ::-1]
-        if config.cutout:
-            centers = [(rng.integers(0, side), rng.integers(0, side)) for rng in rngs]
-            out = cutout(out, centers, int(round(config.cutout_frac * side)), config.cutout_fill)
-        if config.blur:
-            out = gaussian_blur(out, config.blur_sigma)
-        if config.psa:
-            out = patch_shuffle(out, config.psa_grid, [rng.permutation(config.psa_grid**2) for rng in rngs])
+        out = crop_resize(images, [_crop_box(rng, config.crop_scale, side) for rng in rngs])
+        jitter = [(1.0 + rng.uniform(-COLOR_MULT, COLOR_MULT), rng.uniform(-COLOR_ADD, COLOR_ADD)) for rng in rngs]
+        out = color_jitter(out, *zip(*jitter))
+        flip = np.array([rng.random() < FLIP_P for rng in rngs])
+        out[flip] = out[flip, :, ::-1]
+        centers = [(rng.integers(0, side), rng.integers(0, side)) for rng in rngs]
+        out = cutout(out, centers, int(round(config.cutout_frac * side)))
+        out = patch_shuffle(out, config.psa_grid, [rng.permutation(config.psa_grid**2) for rng in rngs])
         views.append(np.ascontiguousarray(out, dtype=images.dtype))
     return views[0], views[1]

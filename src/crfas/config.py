@@ -4,9 +4,8 @@
 keeps defaults for omitted keys and raises `ConfigError` on an unknown key
 or a value of the wrong type: bool fields take only bools, int fields ints
 but not bools, float fields finite ints or floats (JSON `NaN` and
-`Infinity` are rejected). Lists become tuples of the
-declared element type. An `init=False` field is an echo: written like any
-other, and on read it must equal its default.
+`Infinity` are rejected). Lists become tuples of the declared element
+type.
 """
 from __future__ import annotations
 
@@ -32,19 +31,11 @@ def _plain(value):
 def from_dict(cls, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} must be an object, got {data!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields {unknown}")
     hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for name, raw in data.items():
-        value = _read(hints[name], raw, f"{cls.__name__}.{name}")
-        if fields[name].init:
-            kwargs[name] = value
-        elif value != fields[name].default:
-            raise ConfigError(f"{cls.__name__}.{name} is fixed at {_plain(fields[name].default)}, got {raw!r}")
-    return cls(**kwargs)
+    return cls(**{name: _read(hints[name], raw, f"{cls.__name__}.{name}") for name, raw in data.items()})
 
 
 def _read(hint, value, where: str):

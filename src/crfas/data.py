@@ -166,10 +166,14 @@ def write_manifest(records: list[ManifestRecord], path: Path, header: dict | Non
     for r in records:
         if any("\t" in text or "\n" in text for text in (r.path, r.dataset_id)):
             raise ManifestError(f"path or dataset contains separators: {r.path!r}, {r.dataset_id!r}")
-        lines.append(
+        line = (
             f"path={r.path}\tsubject={r.subject_id}\tsession={r.session}"
             f"\tlabel={r.label}\tattack={r.attack_type}\tdataset={r.dataset_id}"
         )
+        # the reader strips each line, so trailing whitespace would not read back
+        if line != line.strip():
+            raise ManifestError(f"record line ends in whitespace: {line!r}")
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

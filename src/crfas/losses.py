@@ -55,7 +55,6 @@ class LossBundle:
     l_embedd: float
     l_pred: float
     l_overall: float
-    alpha: float
 
 
 @dataclass
@@ -238,6 +237,5 @@ def loss_overall(
         l_embedd=l_emb.item(),
         l_pred=l_prd.item(),
         l_overall=total.item(),
-        alpha=alpha,
     )
     return bundle, total

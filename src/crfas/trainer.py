@@ -128,25 +128,14 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence((seed, epoch, 0x5EED)).generate_state(1)[0])
 
 
-class _IndexStream:
-    """Endless shuffled index stream, reshuffled per pass with its own rng."""
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = n
-        self.rng = rng
-        self.order = np.empty(0, dtype=np.intp)
-        self.cursor = 0
-
-    def take(self, count: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < count:
-            if self.cursor == len(self.order):
-                self.order = self.rng.permutation(self.n)
-                self.cursor = 0
-            chunk = self.order[self.cursor : self.cursor + count - len(out)]
-            out.extend(chunk.tolist())
-            self.cursor += len(chunk)
-        return out
+def _row_order(n: int, count: int, key) -> list[int]:
+    """The first `count` indices of back-to-back shuffles of range(n), each
+    pass a new permutation from the one generator seeded with `key`."""
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    order: list[int] = []
+    while len(order) < count:
+        order.extend(rng.permutation(n).tolist())
+    return order[:count]
 
 
 def _format_loss_line(step: int, bundle: losses.LossBundle, lr: float) -> str:
@@ -178,23 +167,26 @@ def _model_image(record: ManifestRecord, data_root: Path, dtype: str, config: Mo
 def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
     """Yield the `(x1, x2, labels, mask)` batch of every training step, in order.
 
-    A batch holds its labeled rows, then its unlabeled rows, each drawn from
-    an endless per-list shuffled stream. The two views of the row at
-    `position` in step `step` are keyed on the epoch's seed and
-    `step * batch_size + position`. `fit` trains on exactly these batches,
-    and `crfas train --dump-views` writes the first one.
+    A batch holds its labeled rows, then its unlabeled rows. Each list's
+    row order for the whole run is drawn up front by `_row_order`; with
+    `k` rows of that list per batch, step `s` takes `order[s * k : (s + 1) * k]`.
+    The two views of the row at `position` in step `step` are keyed on the
+    epoch's seed and `step * batch_size + position`. `fit` trains on exactly
+    these batches, and `crfas train --dump-views` writes the first one.
     """
     n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
     labeled, unlabeled = split.labeled_train, split.unlabeled_train
     images = {
         (r.dataset_id, r.path): _model_image(r, data_root, config.dtype, config.model) for r in (*labeled, *unlabeled)
     }
-    lab_stream = _IndexStream(len(labeled), np.random.default_rng(np.random.SeedSequence((config.seed, 1))))
-    unl_stream = _IndexStream(len(unlabeled), np.random.default_rng(np.random.SeedSequence((config.seed, 2))))
-    for step in range(config.epochs * steps_per_epoch):
+    total_steps = config.epochs * steps_per_epoch
+    lab_order = _row_order(len(labeled), total_steps * n_lab, (config.seed, 1))
+    unl_order = _row_order(len(unlabeled), total_steps * n_unl, (config.seed, 2))
+    for step in range(total_steps):
         view_seed = _epoch_seed(config.seed, step // steps_per_epoch)
         first_id = step * config.batch_size
-        rows = [labeled[i] for i in lab_stream.take(n_lab)] + [unlabeled[i] for i in unl_stream.take(n_unl)]
+        rows = [labeled[i] for i in lab_order[step * n_lab : (step + 1) * n_lab]]
+        rows += [unlabeled[i] for i in unl_order[step * n_unl : (step + 1) * n_unl]]
         batch = np.stack([images[(r.dataset_id, r.path)] for r in rows])
         x1, x2 = compose_views(batch, config.augment, view_seed, range(first_id, first_id + len(rows)))
         labels = np.array([1 if r.label == "spoof" else 0 for r in rows[:n_lab]])

@@ -1,9 +1,14 @@
 """End-to-end command-line tests."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crfas
 from crfas import trainer
 from crfas.cli import run
 from crfas.data import read_image, read_manifest
@@ -26,6 +31,16 @@ def test_lemmacheck_passes(capsys):
     assert run(["lemmacheck", "--trials", "200", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "max relative deviation" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(crfas.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crfas", "lemmacheck", "--trials", "4"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
 
 
 def test_gradcheck_passes(capsys):

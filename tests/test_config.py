@@ -1,4 +1,5 @@
 """Config codec tests: round trips, the pinned default echo, strict reads."""
+import dataclasses
 import json
 
 import pytest
@@ -12,19 +13,14 @@ from crfas.trainer import TrainConfig
 NON_DEFAULT_MODEL = ModelConfig(
     input_size=24, in_channels=1, backbone_channels=(16, 32, 48), feature_side=3, embed_dim=32,
 )
-NON_DEFAULT_AUGMENT = AugmentConfig(
-    crop=False, crop_scale=(0.9, 1.0), color_mult=0.3, color_add=0.05, flip=False, flip_p=0.25,
-    cutout_frac=0.125, cutout_fill=0.5, psa=False, psa_grid=2, blur=True, blur_sigma=0.5,
-)
+NON_DEFAULT_AUGMENT = AugmentConfig(crop_scale=(0.9, 1.0), cutout_frac=0.125, psa_grid=2)
 
 # the echo of TrainConfig() that config.json, train.log and checkpoints were
 # written with before the codec replaced the per-class serializers, less the
-# since-removed decay_bn_params key
+# since-removed decay_bn_params key and augment switches, constants and order
 DEFAULT_TRAIN_JSON = (
-    '{"alpha": 0.1, "augment": {"blur": false, "blur_sigma": 1.0, "color": true, "color_add": 0.1, '
-    '"color_mult": 0.2, "crop": true, "crop_scale": [0.8, 1.0], "cutout": true, "cutout_fill": 0.0, '
-    '"cutout_frac": 0.25, "flip": true, "flip_p": 0.5, "order": ["crop", "color", "flip", "cutout", "blur", "psa"], '
-    '"psa": true, "psa_grid": 3}, "base_lr_end": 0.01, "base_lr_start": 0.03, "batch_size": 64, '
+    '{"alpha": 0.1, "augment": {"crop_scale": [0.8, 1.0], "cutout_frac": 0.25, "psa_grid": 3}, '
+    '"base_lr_end": 0.01, "base_lr_start": 0.03, "batch_size": 64, '
     '"dtype": "f32", "epochs": 30, "labeled_fraction_per_batch": 0.5, '
     '"model": {"backbone_channels": [32, 64, 64], "embed_dim": 64, "feature_side": 8, "in_channels": 3, '
     '"input_size": 64}, "momentum": 0.9, "seed": 0, "weight_decay": 0.0001}'
@@ -68,22 +64,38 @@ def test_omitted_fields_keep_defaults_and_lists_become_typed_tuples():
     [
         ({"epoch": 3}, "unknown TrainConfig fields"),
         ({"augment": {"bogus": 1}}, "unknown AugmentConfig fields"),
-        ({"augment": {"flip": "false"}}, "AugmentConfig.flip must be bool"),
-        ({"augment": {"psa": "no"}}, "AugmentConfig.psa must be bool"),
-        ({"augment": {"crop": 1}}, "AugmentConfig.crop must be bool"),
+        ({"augment": {"flip": False}}, r"unknown AugmentConfig fields \['flip'\]"),
+        ({"augment": {"psa": True}}, r"unknown AugmentConfig fields \['psa'\]"),
+        ({"augment": {"crop": True, "blur": False}}, r"unknown AugmentConfig fields \['blur', 'crop'\]"),
         ({"batch_size": 4.5}, "batch_size must be int"),
         ({"epochs": True}, "epochs must be int"),
         ({"alpha": "0.1"}, "alpha must be float"),
         ({"model": {"backbone_channels": [16.7, 32, 32]}}, r"backbone_channels\[0\] must be int"),
         ({"model": {"backbone_channels": [16, 32]}}, "needs 3 items"),
         ({"model": [24]}, "ModelConfig must be an object"),
-        ({"augment": {"order": ["crop", "flip", "color", "cutout", "blur", "psa"]}}, "order is fixed"),
+        (
+            {"augment": {"order": ["crop", "color", "flip", "cutout", "blur", "psa"]}},
+            r"unknown AugmentConfig fields \['order'\]",
+        ),
         ({"alpha": float("nan")}, "alpha must be finite"),
         ({"base_lr_start": float("inf")}, "base_lr_start must be finite"),
-        ({"augment": {"cutout_fill": float("-inf")}}, "cutout_fill must be finite"),
+        ({"augment": {"cutout_frac": float("-inf")}}, "cutout_frac must be finite"),
         ({"augment": {"crop_scale": [0.8, float("nan")]}}, r"crop_scale\[1\] must be finite"),
     ],
 )
 def test_bad_values_rejected(data, match):
     with pytest.raises(ConfigError, match=match):
         from_dict(TrainConfig, data)
+
+
+@dataclasses.dataclass
+class Flags:
+    verbose: bool = False
+
+
+def test_bool_field_takes_only_bools():
+    # no config class has a bool field; the codec's rule is checked on this one
+    assert from_dict(Flags, {"verbose": True}) == Flags(True)
+    for raw in (1, "false", "no"):
+        with pytest.raises(ConfigError, match="Flags.verbose must be bool"):
+            from_dict(Flags, {"verbose": raw})

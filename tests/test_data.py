@@ -121,6 +121,13 @@ class TestManifest:
         with pytest.raises(ManifestError, match="separators"):
             write_manifest([ManifestRecord("a.fimg", 1, 1, "live", "none", "d0\tnote=x")], tmp_path / "m.txt")
 
+    @pytest.mark.parametrize("space", [" ", "\r", "\x0c", "\u2028"], ids=["space", "cr", "formfeed", "line_sep"])
+    def test_trailing_whitespace_in_written_text_rejected(self, tmp_path, space):
+        # the reader strips each line, so "synth0 " would read back as "synth0"
+        record = ManifestRecord("a.fimg", 1, 1, "live", "none", "synth0" + space)
+        with pytest.raises(ManifestError, match="whitespace"):
+            write_manifest([record], tmp_path / "m.txt")
+
     def test_unknown_field_rejected(self, tmp_path):
         (tmp_path / "m.txt").write_text("path=a\tsubject=1\tsession=1\tlabel=live\tattack=none\tdataset=d0\tnote=x\n")
         with pytest.raises(ManifestError, match="unknown fields"):

@@ -395,7 +395,7 @@ class TestOverall:
         rng = np.random.default_rng(19)
         views = random_views(rng)
         bundle, _ = loss_overall(views, None, np.array([False, False]))
-        assert bundle.alpha == 0.1
+        assert bundle.l_overall == bundle.l_supervised + bundle.l_embedd + 0.1 * bundle.l_pred
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(20)

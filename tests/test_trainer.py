@@ -18,7 +18,7 @@ from crfas.model import ModelConfig, build_model
 from crfas.trainer import (
     CheckpointError,
     _checkpoint_entries,
-    _IndexStream,
+    _row_order,
     MomentumSGD,
     TrainConfig,
     evaluate,
@@ -150,7 +150,7 @@ class TestTrainStep:
 class TestIndexStream:
     @staticmethod
     def pop_front_oracle(n, seed, counts):
-        """The list.pop(0) queue the stream replaced."""
+        """A list.pop(0) queue, refilled with a fresh permutation when empty."""
         rng = np.random.default_rng(seed)
         queue, taken = [], []
         for count in counts:
@@ -166,8 +166,9 @@ class TestIndexStream:
     def test_same_sequence_as_pop_front_queue(self, n):
         # counts both below and far above n, so takes wrap across several passes
         counts = [3, 1, 12, 0, 7, 20, 2, 5]
-        stream = _IndexStream(n, np.random.default_rng(11))
-        assert [stream.take(c) for c in counts] == self.pop_front_oracle(n, 11, counts)
+        order = _row_order(n, sum(counts), 11)
+        ends = np.cumsum(counts).tolist()
+        assert [order[end - c : end] for c, end in zip(counts, ends)] == self.pop_front_oracle(n, 11, counts)
 
 
 class TestFitAndEvaluate:
@@ -216,11 +217,11 @@ class TestFitAndEvaluate:
             fit(model, result, tiny_config(), tmp_path / "x", root)
 
     def test_bad_augment_config_rejected_before_any_output(self, tiny_data, tmp_path):
-        # a color multiplier 1 + U(-1.5, 1.5) can reach <= 0 partway through training
+        # validation runs before fit writes anything, not at the first batch
         root, records = tiny_data
         result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
-        config = tiny_config(augment=AugmentConfig(psa_grid=2, color_mult=1.5))
-        with pytest.raises(ValueError, match="color_mult"):
+        config = tiny_config(augment=AugmentConfig(psa_grid=2, cutout_frac=1.5))
+        with pytest.raises(ValueError, match="cutout_frac"):
             fit(build_model(TINY_MODEL, seed=0), result, config, tmp_path / "x", root)
         assert not (tmp_path / "x" / "config.json").exists()
 
