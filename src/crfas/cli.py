@@ -133,15 +133,15 @@ def _cmd_train(args) -> int:
         config = from_dict(trainer.TrainConfig, json.loads(args.config.read_text()))
     else:
         config = trainer.TrainConfig()
-    for flag, attr in (("epochs", "epochs"), ("batch_size", "batch_size"), ("seed", "seed"), ("alpha", "alpha")):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(config, attr, value)
+    for name in ("epochs", "batch_size", "seed", "alpha"):
+        if getattr(args, name) is not None:
+            setattr(config, name, getattr(args, name))
     config.validate()
     split_result = dat.read_split(args.split_dir)
     if args.supervised_only:
         split_result.unlabeled_train = []
-    batches = trainer.training_batches(split_result, config, args.data_root)
+    model = build_model(config.model, config.seed)
+    batches = trainer.training_batches(split_result, config, args.data_root, trainer.dtype_tag(model))
     if args.dump_views:
         args.out.mkdir(parents=True, exist_ok=True)
         x1, x2, _, _ = first = next(batches)
@@ -150,7 +150,6 @@ def _cmd_train(args) -> int:
                 pixels = np.clip(np.round(view * 255), 0, 255).astype(np.uint8)
                 dat.write_image(args.out / f"debug_{tag}_{index:03d}.fimg", pixels)
         batches = itertools.chain([first], batches)
-    model = build_model(config.model, config.seed, config.dtype)
     final = trainer.fit(model, split_result, config, args.out, args.data_root, batches)
     print(f"final checkpoint: {final}")
     return 0

@@ -261,6 +261,9 @@ class SynthConfig:
                 raise ValueError(f"bad attack type {a!r}")
         if self.subjects < 1 or self.sessions < 1 or self.per_cell < 1 or self.side < 8:
             raise ValueError("counts must be positive and side >= 8")
+        for name, value in (("noise_std", self.noise_std), ("overlay_amp", self.overlay_amp)):
+            if not 0 <= value < np.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _render_image(cfg: SynthConfig, d_index: int, subject: int, session: int, attack: str, rep: int) -> np.ndarray:

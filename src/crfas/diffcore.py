@@ -23,6 +23,10 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 # smaller norm are treated as zero contribution.
 NORM_FLOOR = 1e-12
 
+# batch norm's variance offset (train kernel and eval fold) and running-statistics rate
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 class ShapeError(ValueError):
     """Raised when tensor extents or dtypes do not match an operation's contract."""
@@ -274,8 +278,8 @@ def gather_batch(a: Tensor, indices: np.ndarray) -> Tensor:
     return _taped(out, "gather_batch", (a,), bwd)
 
 
-def l2_normalize(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
-    """Normalize the last axis to unit euclidean norm, flooring the norm at `floor`.
+def l2_normalize(a: Tensor) -> Tensor:
+    """Normalize the last axis to unit euclidean norm, flooring the norm at NORM_FLOOR.
 
     Rows at or below the floor count as zero contribution: their output is
     (numerically) zero and no gradient flows through them. Propagating the
@@ -283,9 +287,9 @@ def l2_normalize(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
     a dead activation produces an exactly-zero row.
     """
     norms = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-    denom = np.maximum(norms, a.dtype.type(floor))
+    denom = np.maximum(norms, a.dtype.type(NORM_FLOOR))
     y = a.data / denom
-    above = norms > floor
+    above = norms > NORM_FLOOR
     out = Tensor(y)
 
     def bwd(g):
@@ -508,16 +512,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     return _taped(out, "conv2d", inputs, bwd)
 
 
-def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Windowed maximum over a channels-last batch; ties route the gradient
-    to the first index in scan order (row by row within the window)."""
+def maxpool2d(x: Tensor) -> Tensor:
+    """2x2 maximum with stride 2 over a channels-last batch; ties route the
+    gradient to the first index in scan order (row by row within the window)."""
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d input must be 4-D, got {x.shape}")
-    if k != stride:
-        raise ShapeError("maxpool2d supports window == stride only")
+    k = 2
     n, h, w, c = x.shape
-    if h % stride or w % stride:
-        raise ShapeError(f"maxpool2d: spatial extents {h}x{w} not divisible by stride {stride}")
+    if h % k or w % k:
+        raise ShapeError(f"maxpool2d: spatial extents {h}x{w} not divisible by {k}")
     ho, wo = h // k, w // k
     # one contiguous row per window position, in scan order, so that the
     # comparisons below run over long contiguous rows rather than C-wide runs
@@ -538,24 +541,16 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     return _taped(out, "maxpool2d", (x,), bwd)
 
 
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BNState,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-    slabs: int = 1,
-) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: int = 1) -> Tensor:
     """Train-mode per-channel batch normalization of a channels-last (N, H, W, C) batch.
 
-    The batch splits into `slabs` equal runs of rows along N, each
-    normalized over its own (rows, H, W) statistics and folded into the
-    running statistics one slab after the other (new = (1 - momentum) *
-    old + momentum * slab); a 2N Siamese batch with slabs=2 therefore
-    computes exactly what two single-view calls would. Eval mode has no
-    kernel of its own: `fold_batchnorm` moves the running statistics into
-    the preceding convolution.
+    The batch splits into `slabs` equal runs of rows along N, each normalized
+    over its own (rows, H, W) statistics, BN_EPS added to the variance, and
+    folded into the running statistics one slab after the other (new =
+    (1 - BN_MOMENTUM) * old + BN_MOMENTUM * slab); a 2N Siamese batch with
+    slabs=2 therefore computes exactly what two single-view calls would.
+    Eval mode has no kernel of its own: `fold_batchnorm` moves the running
+    statistics, with the same BN_EPS, into the preceding convolution.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d input must be 4-D, got {x.shape}")
@@ -567,7 +562,6 @@ def batchnorm2d(
     if n < 1:
         raise ShapeError("batchnorm2d: empty batch")
 
-    eps = x.dtype.type(eps)
     m = n // slabs * h * w
     xs = x.data.reshape(slabs, m, c)
     # reductions run per slab; elementwise work runs on all slabs at once
@@ -575,10 +569,10 @@ def batchnorm2d(
     xhat = np.subtract(xs, mean[:, None])
     var = _slab_sums(xhat * xhat) / m
     for s in range(slabs):
-        state.running_mean = ((1 - momentum) * state.running_mean + momentum * mean[s]).astype(state.running_mean.dtype)
-        state.running_var = ((1 - momentum) * state.running_var + momentum * var[s]).astype(state.running_var.dtype)
+        state.running_mean = ((1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean[s]).astype(state.running_mean.dtype)
+        state.running_var = ((1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var[s]).astype(state.running_var.dtype)
     state.initialized = True
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
     xhat *= inv_std[:, None]
     out_data = xhat * gamma.data
     out_data += beta.data
@@ -600,13 +594,13 @@ def batchnorm2d(
     return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
 
 
-def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: BNState, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: BNState) -> tuple[Tensor, Tensor]:
     """Eval-mode batch normalization folded into the bias-free convolution before it.
 
-    With s = gamma / sqrt(running_var + eps), the returned weight
+    With s = gamma / sqrt(running_var + BN_EPS), the returned weight
     W' = W * s[:, None, None, None] and bias b' = beta - running_mean * s
     make conv2d(x, W', b') equal gamma * (conv2d(x, W) - running_mean) /
-    sqrt(running_var + eps) + beta, so the convolution's bias add does all
+    sqrt(running_var + BN_EPS) + beta, so the convolution's bias add does all
     of the normalization. Eval mode is forward-only: the folded tensors are
     fresh leaves through which no gradient reaches W, gamma or beta, so
     calling this under an active tape raises StateError, as does calling it
@@ -617,7 +611,7 @@ def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: BNState, 
         raise StateError("batch-norm eval mode is forward-only and cannot run under an active tape")
     if not state.initialized:
         raise StateError("fold_batchnorm: eval mode before any running-statistics update; train first or load a checkpoint")
-    s = gamma.data / np.sqrt(state.running_var + weight.dtype.type(eps))
+    s = gamma.data / np.sqrt(state.running_var + weight.dtype.type(BN_EPS))
     folded_weight = weight.data * s[:, None, None, None]
     folded_bias = beta.data - state.running_mean * s
     return Tensor(folded_weight), Tensor(folded_bias)

@@ -49,25 +49,30 @@ def _split_classes(samples: list[ScoredSample]):
 
 
 def error_rates(samples: list[ScoredSample], threshold: float) -> ErrorRates:
-    """APCER / BPCER / ACER at a threshold.
+    """APCER / BPCER / ACER at a threshold; ±inf is allowed, NaN raises ValueError.
 
     Per attack type, APCER_type is the fraction of that type scored below
     the threshold (classified live); APCER takes the maximum over types.
     """
-    live, spoof = _split_classes(samples)
+    _, bpcer = far_frr(samples, threshold)
     by_type: dict[str, list[ScoredSample]] = {}
-    for s in spoof:
-        by_type.setdefault(s.attack_type, []).append(s)
+    for s in samples:
+        if s.label == "spoof":
+            by_type.setdefault(s.attack_type, []).append(s)
     apcer_by_type = {
         t: sum(1 for s in group if s.score < threshold) / len(group) for t, group in sorted(by_type.items())
     }
     apcer = max(apcer_by_type.values())
-    bpcer = sum(1 for s in live if s.score >= threshold) / len(live)
     return ErrorRates(apcer, bpcer, (apcer + bpcer) / 2, apcer_by_type)
 
 
 def far_frr(samples: list[ScoredSample], threshold: float) -> tuple[float, float]:
-    """FAR: spoof accepted as live (score < threshold). FRR: live rejected."""
+    """FAR: spoof accepted as live (score < threshold). FRR: live rejected.
+
+    A NaN threshold, against which every comparison is false, raises ValueError.
+    """
+    if math.isnan(threshold):
+        raise ValueError("threshold is NaN; no score can be compared against it")
     live, spoof = _split_classes(samples)
     far = sum(1 for s in spoof if s.score < threshold) / len(spoof)
     frr = sum(1 for s in live if s.score >= threshold) / len(live)

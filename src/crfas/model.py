@@ -115,7 +115,7 @@ class ConvBNBlock:
     def _activate(self, out: Tensor) -> Tensor:
         if self.with_relu:
             out = diffcore.relu(out)
-        return diffcore.maxpool2d(out, 2, 2) if self.pool else out
+        return diffcore.maxpool2d(out) if self.pool else out
 
     def named_params(self, prefix: str):
         return self.conv.named_params(f"{prefix}.conv") + [(f"{prefix}.bn.gamma", self.gamma),
@@ -201,6 +201,6 @@ class SiameseDenseNet:
 def build_model(config: ModelConfig, seed: int, dtype: str = "f32") -> SiameseDenseNet:
     """Construct the network with parameters drawn deterministically from `seed`.
 
-    Training runs in f32 by default; pass dtype="f64" for gradient checks.
+    `fit` trains at this precision: f32 by default, "f64" for gradient checks.
     """
     return SiameseDenseNet(config, seed, dtype=DTYPES[dtype])

@@ -5,12 +5,14 @@ Every batch draws a fixed fraction of labeled samples (all of them when no
 unlabeled data exists); the three loss terms are accumulated in a single
 backward pass. The whole trajectory is a function of (seed, config, split):
 two runs with the same inputs write byte-identical checkpoints and logs.
+The SGD settings are module constants, not config fields, and precision
+is the model's: `fit` loads images at the dtype the model was built with.
 """
 from __future__ import annotations
 
 import json
 import math
-import shutil
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,18 +33,20 @@ class CheckpointError(RuntimeError):
     """Checkpoint file missing, corrupt, or mismatched against the model."""
 
 
+# cosine schedule end points, both scaled by batch_size / 256
+LR_START = 0.03
+LR_END = 0.01
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+
+
 @dataclass
 class TrainConfig:
-    base_lr_start: float = 0.03
-    base_lr_end: float = 0.01
     batch_size: int = 64
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     alpha: float = 0.1
     epochs: int = 30
     seed: int = 0
     labeled_fraction_per_batch: float = 0.5
-    dtype: str = "f32"
     model: ModelConfig = field(default_factory=ModelConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
@@ -51,52 +55,37 @@ class TrainConfig:
             raise ValueError(f"labeled_fraction_per_batch must be in (0, 1], got {self.labeled_fraction_per_batch}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
-        # each comparison is written so that NaN fails it
+        # written so that NaN fails it
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        for name in ("base_lr_start", "base_lr_end"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         self.model.validate()
         self.augment.validate(self.model.input_size)
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
-    """Cosine decay between the base rates, scaled by batch_size / 256."""
+    """Cosine decay from LR_START to LR_END, scaled by batch_size / 256."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    start, end = config.base_lr_start, config.base_lr_end
-    base = end + 0.5 * (start - end) * (1 + math.cos(math.pi * step / total_steps))
+    base = LR_END + 0.5 * (LR_START - LR_END) * (1 + math.cos(math.pi * step / total_steps))
     return base * config.batch_size / 256.0
 
 
 class MomentumSGD:
-    """SGD with momentum and L2 weight decay folded into the gradient."""
+    """SGD with momentum MOMENTUM and L2 weight decay WEIGHT_DECAY folded into the gradient."""
 
-    def __init__(self, named_params, momentum: float, weight_decay: float):
+    def __init__(self, named_params):
         self.named_params = list(named_params)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.named_params}
 
     def step(self, lr: float) -> None:
         for name, p in self.named_params:
             if p.grad is None:
                 continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + p.data.dtype.type(self.weight_decay) * p.data
             v = self.velocity[name]
-            v *= p.data.dtype.type(self.momentum)
-            v += g
+            v *= p.data.dtype.type(MOMENTUM)
+            v += p.grad + p.data.dtype.type(WEIGHT_DECAY) * p.data
             p.data -= p.data.dtype.type(lr) * v
 
 
@@ -155,6 +144,11 @@ def _batch_layout(split: SplitResult, config: TrainConfig) -> tuple[int, int, in
     return n_lab, config.batch_size - n_lab, max(1, math.ceil(len(split.labeled_train) / n_lab))
 
 
+def dtype_tag(model: SiameseDenseNet) -> str:
+    """The model's precision as an image-loading and checkpoint tag, "f32" or "f64"."""
+    return _DTYPE_TAGS[np.dtype(model.dtype)]
+
+
 def _model_image(record: ManifestRecord, data_root: Path, dtype: str, config: ModelConfig) -> np.ndarray:
     """Load one record's image; it must have the model's input shape."""
     image = load_image(record, data_root, dtype)
@@ -164,9 +158,10 @@ def _model_image(record: ManifestRecord, data_root: Path, dtype: str, config: Mo
     return image
 
 
-def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
+def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, dtype: str):
     """Yield the `(x1, x2, labels, mask)` batch of every training step, in order.
 
+    Each image is loaded once, at the model's precision `dtype` ("f32" or "f64").
     A batch holds its labeled rows, then its unlabeled rows. Each list's
     row order for the whole run is drawn up front by `_row_order`; with
     `k` rows of that list per batch, step `s` takes `order[s * k : (s + 1) * k]`.
@@ -177,7 +172,7 @@ def training_batches(split: SplitResult, config: TrainConfig, data_root: Path):
     n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
     labeled, unlabeled = split.labeled_train, split.unlabeled_train
     images = {
-        (r.dataset_id, r.path): _model_image(r, data_root, config.dtype, config.model) for r in (*labeled, *unlabeled)
+        (r.dataset_id, r.path): _model_image(r, data_root, dtype, config.model) for r in (*labeled, *unlabeled)
     }
     total_steps = config.epochs * steps_per_epoch
     lab_order = _row_order(len(labeled), total_steps * n_lab, (config.seed, 1))
@@ -201,13 +196,13 @@ def fit(
     data_root: Path,
     batches: Iterator | None = None,
 ) -> Path:
-    """Train over the split; returns the path of the final checkpoint.
+    """Train over the split at the model's precision; returns the checkpoint path.
 
     Writes `config.json`, an append-only `train.log` with one loss line per
-    step, and a checkpoint per epoch plus `checkpoint.ckpt` for the last.
-    `batches` is the `training_batches(split, config, data_root)` stream
-    when the caller has already started it (`crfas train --dump-views`
-    reads its first batch), so its images are not loaded a second time.
+    step, and `checkpoint.ckpt`, rewritten at the end of every epoch.
+    `batches` is the `training_batches` stream when the caller has already
+    started it (`crfas train --dump-views` reads its first batch), so its
+    images are not loaded a second time.
     """
     config.validate()
     _, _, steps_per_epoch = _batch_layout(split, config)
@@ -217,8 +212,9 @@ def fit(
     (out_dir / "config.json").write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
 
     if batches is None:
-        batches = training_batches(split, config, data_root)
-    optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
+        batches = training_batches(split, config, data_root, dtype_tag(model))
+    optimizer = MomentumSGD(model.named_params())
+    checkpoint = out_dir / "checkpoint.ckpt"
     with open(out_dir / "train.log", "w") as log:
         log.write(f"# config {json.dumps(to_dict(config), sort_keys=True)}\n")
         for step, batch in enumerate(batches):
@@ -226,10 +222,8 @@ def fit(
             log.write(_format_loss_line(step, bundle, lr_at(step, total_steps, config)) + "\n")
             log.flush()
             if (step + 1) % steps_per_epoch == 0:
-                save_checkpoint(model, out_dir / f"checkpoint_ep{step // steps_per_epoch:03d}.ckpt")
-    final_path = out_dir / "checkpoint.ckpt"
-    shutil.copyfile(out_dir / f"checkpoint_ep{config.epochs - 1:03d}.ckpt", final_path)
-    return final_path
+                save_checkpoint(model, checkpoint)
+    return checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +232,8 @@ def fit(
 
 
 _CKPT_MAGIC = "CRFAS-CKPT v2"
-_DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-_TAG_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPE_TAGS = {np.dtype(t): tag for tag, t in DTYPES.items()}
+_TAG_DTYPES = {tag: np.dtype(t).newbyteorder("<") for tag, t in DTYPES.items()}
 
 
 def _checkpoint_entries(model: SiameseDenseNet):
@@ -268,6 +262,7 @@ def _read_arch(path: Path, text: str) -> ModelConfig:
 
 
 def save_checkpoint(model: SiameseDenseNet, path: Path) -> None:
+    """Write through `<path>.tmp` and rename, so `path` always holds a complete checkpoint."""
     entries = _checkpoint_entries(model)
     header = [_CKPT_MAGIC, f"arch {_arch_json(model.config)}"]
     offset = 0
@@ -281,8 +276,9 @@ def save_checkpoint(model: SiameseDenseNet, path: Path) -> None:
         offset += len(blob)
     data = b"".join(blobs)
     header += [f"crc32 {zlib.crc32(data):08x}", f"data {offset}"]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii") + data)
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(("\n".join(header) + "\n").encode("ascii") + data)
+    os.replace(tmp, path)
 
 
 def _count(path: Path, text: str) -> int:
@@ -355,8 +351,7 @@ def load_checkpoint(path: Path, model: SiameseDenseNet | None = None) -> Siamese
     """
     arch, table, data = _parse_checkpoint(path)
     if model is None:
-        dtype = "f64" if (table and table[0][1] == "f64") else "f32"
-        model = build_model(arch, seed=0, dtype=dtype)
+        model = build_model(arch, seed=0, dtype=table[0][1] if table else "f32")
     expected = dict(_checkpoint_entries(model))
     file_names = [name for name, *_ in table]
     problems = []
@@ -401,10 +396,10 @@ SCORE_BATCH = 32
 def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_root: Path) -> list[ScoredSample]:
     """Score records through the encoder -> classifier path, no augmentation."""
     samples = []
-    dtype_tag = _DTYPE_TAGS[np.dtype(model.dtype)]
+    tag = dtype_tag(model)
     for start in range(0, len(records), SCORE_BATCH):
         chunk = records[start : start + SCORE_BATCH]
-        x = Tensor(np.stack([_model_image(r, data_root, dtype_tag, model.config) for r in chunk]))
+        x = Tensor(np.stack([_model_image(r, data_root, tag, model.config) for r in chunk]))
         maps = model.classifier(model.encode(x))
         for r, m in zip(chunk, maps.data):
             samples.append(ScoredSample(score=float(m.mean()), label=r.label, attack_type=r.attack_type, path=r.path))
@@ -425,8 +420,11 @@ def evaluate(
     dev records are given, and the summary then also holds `dev_eer`, the
     dev set's (FAR + FRR) / 2 at that threshold; otherwise an explicit
     threshold is required. One `apcer_<type>` entry per attack type of the
-    test set follows the aggregate rates.
+    test set follows the aggregate rates. A NaN threshold, against which
+    every comparison is false, is rejected before anything is read.
     """
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("threshold is NaN; no score can be compared against it")
     model = load_checkpoint(checkpoint_path)
     if dev_records:
         dev_scored = score_records(model, dev_records, data_root)

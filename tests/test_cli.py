@@ -194,3 +194,30 @@ def test_nan_alpha_rejected_before_any_output(tmp_path, capsys, how):
     assert run(argv + (["--alpha", "nan"] if how == "flag" else [])) == 1
     assert "alpha" in capsys.readouterr().err
     assert not (train_dir / "config.json").exists() and not (train_dir / "train.log").exists()
+
+
+def test_nan_threshold_rejected_before_any_output(tmp_path, capsys):
+    data_dir, split_dir, train_dir = tmp_path / "data", tmp_path / "split", tmp_path / "train"
+    assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
+    assert run([
+        "split", "--manifest", str(data_dir / "manifest.txt"), "--protocol", "1",
+        "--labeled-pct", "100", "--out", str(split_dir),
+    ]) == 0
+    config = {
+        "epochs": 1, "batch_size": 4,
+        "model": {"input_size": 16, "backbone_channels": [4, 6, 6], "feature_side": 2, "embed_dim": 6},
+        "augment": {"psa_grid": 2},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run([
+        "train", "--split-dir", str(split_dir), "--data-root", str(data_dir),
+        "--out", str(train_dir), "--config", str(tmp_path / "config.json"),
+    ]) == 0
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert run([
+        "eval", "--checkpoint", str(train_dir / "checkpoint.ckpt"), "--test", str(split_dir / "test.txt"),
+        "--data-root", str(data_dir), "--threshold", "nan", "--out", str(eval_dir),
+    ]) == 1
+    assert "NaN" in capsys.readouterr().err
+    assert not eval_dir.exists()  # so no metrics.txt either

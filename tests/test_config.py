@@ -1,6 +1,8 @@
 """Config codec tests: round trips, the pinned default echo, strict reads."""
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,22 +19,22 @@ NON_DEFAULT_AUGMENT = AugmentConfig(crop_scale=(0.9, 1.0), cutout_frac=0.125, ps
 
 # the echo of TrainConfig() that config.json, train.log and checkpoints were
 # written with before the codec replaced the per-class serializers, less the
-# since-removed decay_bn_params key and augment switches, constants and order
+# since-removed decay_bn_params key, augment switches, constants and order,
+# and the SGD fields and dtype that became trainer constants and the model's
 DEFAULT_TRAIN_JSON = (
     '{"alpha": 0.1, "augment": {"crop_scale": [0.8, 1.0], "cutout_frac": 0.25, "psa_grid": 3}, '
-    '"base_lr_end": 0.01, "base_lr_start": 0.03, "batch_size": 64, '
-    '"dtype": "f32", "epochs": 30, "labeled_fraction_per_batch": 0.5, '
+    '"batch_size": 64, "epochs": 30, "labeled_fraction_per_batch": 0.5, '
     '"model": {"backbone_channels": [32, 64, 64], "embed_dim": 64, "feature_side": 8, "in_channels": 3, '
-    '"input_size": 64}, "momentum": 0.9, "seed": 0, "weight_decay": 0.0001}'
+    '"input_size": 64}, "seed": 0}'
 )
+REMOVED_TRAIN_KEYS = ("base_lr_start", "base_lr_end", "momentum", "weight_decay", "dtype")
 
 
 @pytest.mark.parametrize(
     "config",
     [
         TrainConfig(
-            base_lr_start=0.05, base_lr_end=0.02, batch_size=16, momentum=0.8, weight_decay=0.0, alpha=0.3,
-            epochs=7, seed=11, labeled_fraction_per_batch=0.375, dtype="f64",
+            batch_size=16, alpha=0.3, epochs=7, seed=11, labeled_fraction_per_batch=0.375,
             model=NON_DEFAULT_MODEL, augment=NON_DEFAULT_AUGMENT,
         ),
         NON_DEFAULT_MODEL,
@@ -50,6 +52,13 @@ def test_round_trip_through_json(config):
 
 def test_default_train_config_echo_is_pinned():
     assert json.dumps(to_dict(TrainConfig()), sort_keys=True) == DEFAULT_TRAIN_JSON
+
+
+@pytest.mark.parametrize("key", REMOVED_TRAIN_KEYS)
+def test_removed_train_keys_rejected_by_name(key):
+    value = "f32" if key == "dtype" else 0.01
+    with pytest.raises(ConfigError, match=rf"unknown TrainConfig fields \['{key}'\]"):
+        from_dict(TrainConfig, {key: value})
 
 
 def test_omitted_fields_keep_defaults_and_lists_become_typed_tuples():
@@ -78,7 +87,7 @@ def test_omitted_fields_keep_defaults_and_lists_become_typed_tuples():
             r"unknown AugmentConfig fields \['order'\]",
         ),
         ({"alpha": float("nan")}, "alpha must be finite"),
-        ({"base_lr_start": float("inf")}, "base_lr_start must be finite"),
+        ({"labeled_fraction_per_batch": float("inf")}, "labeled_fraction_per_batch must be finite"),
         ({"augment": {"cutout_frac": float("-inf")}}, "cutout_frac must be finite"),
         ({"augment": {"crop_scale": [0.8, float("nan")]}}, r"crop_scale\[1\] must be finite"),
     ],
@@ -86,6 +95,26 @@ def test_omitted_fields_keep_defaults_and_lists_become_typed_tuples():
 def test_bad_values_rejected(data, match):
     with pytest.raises(ConfigError, match=match):
         from_dict(TrainConfig, data)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_config_loads_and_validates():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    config = from_dict(TrainConfig, json.loads(blocks[0]))
+    config.validate()
+    assert config != TrainConfig()
+
+
+def test_readme_validation_sentence_names_existing_fields():
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"The whole config is validated[^:.]*", text).group(0)
+    named = re.findall(r"`(\w+)`", sentence)
+    assert named, sentence
+    fields = {f.name for cls in (TrainConfig, ModelConfig, AugmentConfig) for f in dataclasses.fields(cls)}
+    assert set(named) <= fields, sorted(set(named) - fields)
 
 
 @dataclasses.dataclass

@@ -1,4 +1,6 @@
 """Generator, manifest, and protocol-split tests."""
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,13 @@ class TestSynth:
     def test_bad_attack_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="attack"):
             generate_synthetic(SynthConfig(attacks=("nosuch",)), tmp_path / "x")
+
+    @pytest.mark.parametrize("name", ["noise_std", "overlay_amp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_bad_texture_knob_rejected_before_any_output(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=name):
+            generate_synthetic(SynthConfig(**{name: value}), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
 
 class TestProtocol1:

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from crfas import diffcore
 from crfas.diffcore import (
+    BN_EPS,
     BNState,
     ShapeError,
     StateError,
@@ -162,8 +164,8 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 3, 5, 5))
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
-        eps = 1e-5
-        out = batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), BNState.create(3, np.float64), eps=eps)
+        eps = BN_EPS
+        out = batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), BNState.create(3, np.float64))
         # two-pass: mean first, then variance of residuals
         want = np.empty_like(x)
         for c in range(3):
@@ -201,14 +203,16 @@ class TestBatchNorm:
         np.testing.assert_allclose(nchw(out.data), want, rtol=1e-6)
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
-    def test_fold_matches_conv_then_running_stats_formula(self, stride, padding):
+    def test_fold_matches_conv_then_running_stats_formula(self, stride, padding, monkeypatch):
         rng = np.random.default_rng(23)
         x = Tensor(rng.standard_normal((3, 7, 7, 4)))
         weight = Tensor(rng.standard_normal((5, 4, 3, 3)))
         gamma, beta = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
         state = BNState(rng.standard_normal(5), rng.random(5) + 0.1, initialized=True)
-        eps = 1e-3
-        out = conv2d(x, *fold_batchnorm(weight, gamma, beta, state, eps), stride, padding)
+        # a value other than the default shows the fold reads BN_EPS
+        monkeypatch.setattr(diffcore, "BN_EPS", 1e-3)
+        eps = diffcore.BN_EPS
+        out = conv2d(x, *fold_batchnorm(weight, gamma, beta, state), stride, padding)
         y = conv2d(x, weight, None, stride, padding).data
         want = gamma.data * (y - state.running_mean) / np.sqrt(state.running_var + eps) + beta.data
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)

@@ -87,6 +87,13 @@ class TestErrorRates:
         with pytest.raises(ValueError, match="both classes"):
             error_rates([live(0.5)], 0.5)
 
+    def test_nan_threshold_rejected(self):
+        # every comparison with NaN is false, which would read as a perfect score
+        samples = [live(0.1), live(0.9), spoof(0.5), spoof(0.6)]
+        for rate_fn in (error_rates, far_frr, hter):
+            with pytest.raises(ValueError, match="NaN"):
+                rate_fn(samples, math.nan)
+
 
 class TestEerHter:
     def test_disjoint_ranges_give_zero(self):

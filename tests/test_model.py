@@ -148,7 +148,7 @@ def unfolded_block(block, x):
     y = diffcore.conv2d(x, block.conv.weight, None, block.conv.stride, block.conv.padding).data
     y = block.gamma.data * (y - state.running_mean) / np.sqrt(state.running_var + y.dtype.type(1e-5)) + block.beta.data
     y = np.maximum(y, 0) if block.with_relu else y
-    return diffcore.maxpool2d(Tensor(y), 2, 2).data if block.pool else y
+    return diffcore.maxpool2d(Tensor(y)).data if block.pool else y
 
 
 def unfolded_encode(model, x):

@@ -16,6 +16,7 @@ from crfas.losses import loss_overall
 from crfas.metrics import error_rates, far_frr
 from crfas.model import ModelConfig, build_model
 from crfas.trainer import (
+    WEIGHT_DECAY,
     CheckpointError,
     _checkpoint_entries,
     _row_order,
@@ -82,12 +83,14 @@ class TestSchedule:
 
 
 class TestTrainStep:
-    def test_zero_lr_leaves_params_bitwise(self):
+    def test_zero_lr_leaves_params_bitwise(self, monkeypatch):
+        monkeypatch.setattr(trainer, "LR_START", 0.0)
+        monkeypatch.setattr(trainer, "LR_END", 0.0)
         model = build_model(TINY_MODEL, seed=0)
-        config = tiny_config(base_lr_start=0.0, base_lr_end=0.0)
+        config = tiny_config()
         rng = np.random.default_rng(0)
         before = {name: p.data.copy() for name, p in model.named_params()}
-        optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
+        optimizer = MomentumSGD(model.named_params())
         train_step(model, tiny_batch(rng), config, 0, 10, optimizer)
         for name, p in model.named_params():
             np.testing.assert_array_equal(p.data, before[name])
@@ -98,7 +101,7 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         x1, x2, _, _ = tiny_batch(rng)
         before = {name: p.data.copy() for name, p in model.named_params()}
-        optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
+        optimizer = MomentumSGD(model.named_params())
         bundle = train_step(model, (x1, x2, None, np.zeros(4, dtype=bool)), config, 0, 10, optimizer)
         assert bundle.l_supervised == 0.0
         assert bundle.l_overall == pytest.approx(bundle.l_embedd + config.alpha * bundle.l_pred, rel=1e-6)
@@ -132,19 +135,36 @@ class TestTrainStep:
         monkeypatch.setattr(Tape, "backward", counting_backward)
         model = build_model(TINY_MODEL, seed=4)
         config = tiny_config()
-        optimizer = MomentumSGD(model.named_params(), config.momentum, config.weight_decay)
+        optimizer = MomentumSGD(model.named_params())
         train_step(model, tiny_batch(np.random.default_rng(4)), config, 0, 10, optimizer)
         assert len(recorded) == 1 and recorded[0] < 72
 
     def test_weight_decay_shrinks_without_gradient(self):
+        # the velocity starts at zero, so momentum does not enter the first step
         model = build_model(TINY_MODEL, seed=3)
         params = model.named_params()
-        optimizer = MomentumSGD(params, momentum=0.0, weight_decay=0.1)
+        optimizer = MomentumSGD(params)
         w = params[0][1]
         w.zero_grad()
         before = w.data.copy()
         optimizer.step(lr=1.0)
-        np.testing.assert_allclose(w.data, before * (1 - 0.1), rtol=1e-6)
+        np.testing.assert_allclose(w.data, before * (1 - WEIGHT_DECAY), rtol=1e-6)
+
+    def test_two_steps_use_the_paper_momentum_and_weight_decay(self):
+        # literal 0.9 and 1e-4, so a changed MOMENTUM or WEIGHT_DECAY fails here
+        model = build_model(TINY_MODEL, seed=3, dtype="f64")
+        params = model.named_params()
+        optimizer = MomentumSGD(params)
+        w = params[0][1]
+        w0 = w.data.copy()
+        g = np.random.default_rng(3).standard_normal(w.shape)
+        w.grad = g.copy()
+        optimizer.step(lr=0.5)
+        v1 = g + 1e-4 * w0
+        w1 = w0 - 0.5 * v1
+        w.grad = g.copy()
+        optimizer.step(lr=0.5)
+        np.testing.assert_allclose(w.data, w1 - 0.5 * (0.9 * v1 + g + 1e-4 * w1), rtol=1e-12)
 
 
 class TestIndexStream:
@@ -208,6 +228,25 @@ class TestFitAndEvaluate:
         assert steps == 2
         assert rows_per_call == [config.batch_size] * steps
 
+    def test_fit_leaves_config_log_and_one_checkpoint(self, tiny_data, tmp_path):
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
+        model = build_model(TINY_MODEL, seed=6)
+        final = fit(model, result, tiny_config(epochs=2, seed=6), tmp_path / "run", root)
+        assert final == tmp_path / "run" / "checkpoint.ckpt"
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["checkpoint.ckpt", "config.json", "train.log"]
+
+    def test_f64_model_trains_in_f64(self, tiny_data, tmp_path):
+        # precision is the model's: a default config does not force f32 images on it
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
+        model = build_model(TINY_MODEL, seed=5, dtype="f64")
+        final = fit(model, result, tiny_config(epochs=1, seed=5), tmp_path / "run", root)
+        restored = load_checkpoint(final)
+        assert all(p.dtype == np.float64 for _, p in restored.named_params())
+        for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
     def test_fit_requires_labeled_data(self, tiny_data, tmp_path):
         root, records = tiny_data
         result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
@@ -230,14 +269,6 @@ class TestFitAndEvaluate:
         [
             ({"alpha": -0.1}, "alpha"),
             ({"alpha": math.nan}, "alpha"),
-            ({"base_lr_start": 0.0}, "base_lr_start"),
-            ({"base_lr_end": -0.01}, "base_lr_end"),
-            ({"base_lr_end": math.nan}, "base_lr_end"),
-            ({"momentum": 1.0}, "momentum"),
-            ({"momentum": -0.5}, "momentum"),
-            ({"momentum": math.nan}, "momentum"),
-            ({"weight_decay": -1e-4}, "weight_decay"),
-            ({"weight_decay": math.nan}, "weight_decay"),
         ],
     )
     def test_out_of_range_optimizer_fields_rejected(self, overrides, match):
@@ -245,7 +276,7 @@ class TestFitAndEvaluate:
             tiny_config(**overrides).validate()
 
     def test_optimizer_range_edges_accepted(self):
-        tiny_config(alpha=0.0, momentum=0.0, weight_decay=0.0, base_lr_start=1e-9, base_lr_end=1e-9).validate()
+        tiny_config(alpha=0.0).validate()
 
     def test_supervised_only_when_unlabeled_empty(self, tiny_data, tmp_path):
         root, records = tiny_data
