@@ -21,6 +21,14 @@ from .diffcore import Tensor, grad_check
 from .model import ModelConfig, build_model
 
 
+def _positive_int(text: str) -> int:
+    """A count for a check tool: a check over zero items would pass vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crfas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -74,10 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=int, default=24, help="random coordinates checked per parameter")
+    p.add_argument("--coords", type=_positive_int, default=24, help="random coordinates checked per parameter")
 
     p = sub.add_parser("lemmacheck", help="verify the dense-similarity product decomposition")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

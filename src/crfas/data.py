@@ -259,6 +259,9 @@ class SynthConfig:
         for a in self.attacks:
             if a == "none" or a not in ATTACK_TYPES:
                 raise ValueError(f"bad attack type {a!r}")
+        for name, values in (("attacks", self.attacks), ("datasets", self.datasets)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
         if self.subjects < 1 or self.sessions < 1 or self.per_cell < 1 or self.side < 8:
             raise ValueError("counts must be positive and side >= 8")
         for name, value in (("noise_std", self.noise_std), ("overlay_amp", self.overlay_amp)):

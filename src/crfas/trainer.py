@@ -15,6 +15,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterator
 
@@ -233,7 +234,6 @@ def fit(
 
 _CKPT_MAGIC = "CRFAS-CKPT v2"
 _DTYPE_TAGS = {np.dtype(t): tag for tag, t in DTYPES.items()}
-_TAG_DTYPES = {tag: np.dtype(t).newbyteorder("<") for tag, t in DTYPES.items()}
 
 
 def _checkpoint_entries(model: SiameseDenseNet):
@@ -261,39 +261,40 @@ def _read_arch(path: Path, text: str) -> ModelConfig:
     return config
 
 
+def _tensor_table(model: SiameseDenseNet) -> tuple[list[str], list[tuple[np.ndarray, int]]]:
+    """The model's `tensor <name> <tag> <dims> <offset>` header lines, and
+    each entry's array with its byte offset into the data section."""
+    lines, slots, offset = [], [], 0
+    for name, arr in _checkpoint_entries(model):
+        dims = ",".join(str(d) for d in arr.shape) or "-"
+        lines.append(f"tensor {name} {_DTYPE_TAGS[arr.dtype]} {dims} {offset}")
+        slots.append((arr, offset))
+        offset += arr.nbytes
+    return lines, slots
+
+
+def _header(model: SiameseDenseNet, table: list[str], data: bytes) -> list[str]:
+    """The header lines `save_checkpoint` writes for `model` over the data section `data`."""
+    arch = f"arch {_arch_json(model.config)}"
+    return [_CKPT_MAGIC, arch, *table, f"crc32 {zlib.crc32(data):08x}", f"data {len(data)}"]
+
+
 def save_checkpoint(model: SiameseDenseNet, path: Path) -> None:
     """Write through `<path>.tmp` and rename, so `path` always holds a complete checkpoint."""
-    entries = _checkpoint_entries(model)
-    header = [_CKPT_MAGIC, f"arch {_arch_json(model.config)}"]
-    offset = 0
-    blobs = []
-    for name, arr in entries:
-        tag = _DTYPE_TAGS[arr.dtype]
-        dims = ",".join(str(d) for d in arr.shape) or "-"
-        header.append(f"tensor {name} {tag} {dims} {offset}")
-        blob = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    data = b"".join(blobs)
-    header += [f"crc32 {zlib.crc32(data):08x}", f"data {offset}"]
+    table, slots = _tensor_table(model)
+    data = b"".join(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes() for arr, _ in slots)
     tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(("\n".join(header) + "\n").encode("ascii") + data)
+    tmp.write_bytes(("\n".join(_header(model, table, data)) + "\n").encode("ascii") + data)
     os.replace(tmp, path)
 
 
-def _count(path: Path, text: str) -> int:
-    """A byte count or extent from the header: ASCII decimal digits only."""
-    if not text.isdigit():
-        raise CheckpointError(f"{path}: {text!r} is not a count")
-    return int(text)
+def load_checkpoint(path: Path) -> SiameseDenseNet:
+    """Rebuild the model a checkpoint describes and restore its tensors.
 
-
-def _parse_checkpoint(path: Path):
-    """Read the header and data section; every malformed header raises CheckpointError.
-
-    The data section must match the `crc32` line just before `data <n>`;
-    there is exactly one `arch` line; the tensor table tiles the data, each
-    entry starting where the one before it ends and the last at `data <n>`.
+    The one `arch` line and the first tensor's dtype tag say which model to
+    build. The header must then be exactly what `save_checkpoint` writes
+    for that model and the file's data section, `crc32` line included;
+    anything else raises `CheckpointError` before any value is read.
     """
     try:
         raw = Path(path).read_bytes()
@@ -309,78 +310,25 @@ def _parse_checkpoint(path: Path):
     except UnicodeDecodeError as e:
         raise CheckpointError(f"{path}: header is not ASCII: {e}") from e
     data = raw[newline + 1 :]
-    declared = _count(path, header[-1][len("data ") :])
-    if len(data) != declared:
-        raise CheckpointError(f"{path}: corrupt data section, expected {declared} bytes, found {len(data)}")
-    crc = header[-2][len("crc32 ") :] if header[-2].startswith("crc32 ") else ""
-    if len(crc) != 8 or not set(crc) <= set("0123456789abcdef"):
-        raise CheckpointError(f"{path}: expected a `crc32 <8 lowercase hex digits>` line before `data`")
-    if int(crc, 16) != zlib.crc32(data):
-        raise CheckpointError(f"{path}: corrupt data section, its crc32 does not match {crc}")
-    arch = None
-    table = []
-    end = 0
-    for line in header[1:-2]:
-        if line.startswith("arch "):
-            if arch is not None:
-                raise CheckpointError(f"{path}: repeated arch line")
-            arch = _read_arch(path, line[5:])
-            continue
-        fields = line.split(" ")
-        if fields[0] != "tensor" or len(fields) != 5 or fields[2] not in _TAG_DTYPES:
-            raise CheckpointError(f"{path}: unexpected header line {line!r}")
-        _, name, tag, dims, offset = fields
-        shape = () if dims == "-" else tuple(_count(path, d) for d in dims.split(","))
-        if _count(path, offset) != end:
-            raise CheckpointError(f"{path}: tensor {name} starts at byte {offset}, expected {end}")
-        table.append((name, tag, shape, end))
-        end += math.prod(shape) * _TAG_DTYPES[tag].itemsize
-    if end != declared:
-        raise CheckpointError(f"{path}: tensor table covers {end} bytes, data section holds {declared}")
-    if arch is None:
-        raise CheckpointError(f"{path}: missing arch line")
-    return arch, table, data
-
-
-def load_checkpoint(path: Path, model: SiameseDenseNet | None = None) -> SiameseDenseNet:
-    """Restore a model from a checkpoint.
-
-    Without `model`, the architecture echoed in the header is rebuilt.
-    With `model`, every entry must match by name, dtype, and shape; all
-    mismatches are reported together.
-    """
-    arch, table, data = _parse_checkpoint(path)
-    if model is None:
-        model = build_model(arch, seed=0, dtype=table[0][1] if table else "f32")
-    expected = dict(_checkpoint_entries(model))
-    file_names = [name for name, *_ in table]
-    problems = []
-    if set(file_names) != set(expected):
-        missing = sorted(set(expected) - set(file_names))
-        extra = sorted(set(file_names) - set(expected))
-        if missing:
-            problems.append(f"missing tensors {missing}")
-        if extra:
-            problems.append(f"unexpected tensors {extra}")
-    loaded = {}
-    for name, tag, shape, offset in table:
-        if name not in expected:
-            continue
-        target = expected[name]
-        if shape != target.shape or _DTYPE_TAGS[target.dtype] != tag:
-            problems.append(
-                f"{name}: file has {tag} {shape}, model expects {_DTYPE_TAGS[target.dtype]} {target.shape}"
-            )
-            continue
-        values = np.frombuffer(data, dtype=_TAG_DTYPES[tag], count=math.prod(shape), offset=offset)
-        loaded[name] = values.reshape(shape).astype(target.dtype)
-    if problems:
-        raise CheckpointError(f"{path}: " + "; ".join(problems))
-    for name, p in model.named_params():
-        p.data[...] = loaded[name]
-    for name, state in model.named_bn_states():
-        state.running_mean[...] = loaded[f"{name}.running_mean"]
-        state.running_var[...] = loaded[f"{name}.running_var"]
+    arch = [line[len("arch ") :] for line in header if line.startswith("arch ")]
+    if len(arch) != 1:
+        raise CheckpointError(f"{path}: {'repeated' if arch else 'missing'} arch line")
+    tensors = [line.split(" ") for line in header if line.startswith("tensor ")]
+    # an unknown tag builds f32, whose table then names the line
+    tag = tensors[0][2] if tensors and len(tensors[0]) > 2 and tensors[0][2] in DTYPES else "f32"
+    model = build_model(_read_arch(path, arch[0]), seed=0, dtype=tag)
+    table, slots = _tensor_table(model)
+    want = _header(model, table, data)
+    if header != want:
+        names, expected = {t[1] for t in tensors}, {line.split(" ")[1] for line in table}
+        if names != expected:
+            problems = [("missing", sorted(expected - names)), ("unexpected", sorted(names - expected))]
+            raise CheckpointError(f"{path}: " + "; ".join(f"{k} tensors {v}" for k, v in problems if v))
+        got, line = next((g, w) for g, w in zip_longest(header, want) if g != w)
+        raise CheckpointError(f"{path}: corrupt checkpoint: header line {got!r}, expected {line!r}")
+    for arr, offset in slots:
+        arr[...] = np.frombuffer(data, arr.dtype.newbyteorder("<"), count=arr.size, offset=offset).reshape(arr.shape)
+    for _, state in model.named_bn_states():
         state.initialized = True
     return model
 
@@ -420,9 +368,12 @@ def evaluate(
     dev records are given, and the summary then also holds `dev_eer`, the
     dev set's (FAR + FRR) / 2 at that threshold; otherwise an explicit
     threshold is required. One `apcer_<type>` entry per attack type of the
-    test set follows the aggregate rates. A NaN threshold, against which
-    every comparison is false, is rejected before anything is read.
+    test set follows the aggregate rates. Dev records together with a
+    threshold, and a NaN threshold, against which every comparison is
+    false, are rejected before anything is read.
     """
+    if dev_records is not None and threshold is not None:
+        raise ValueError("pass dev records or a threshold, not both: the dev equal-error point would replace it")
     if threshold is not None and math.isnan(threshold):
         raise ValueError("threshold is NaN; no score can be compared against it")
     model = load_checkpoint(checkpoint_path)

@@ -12,6 +12,7 @@ import crfas
 from crfas import trainer
 from crfas.cli import run
 from crfas.data import read_image, read_manifest
+from crfas.model import ModelConfig, build_model
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -221,3 +222,32 @@ def test_nan_threshold_rejected_before_any_output(tmp_path, capsys):
     ]) == 1
     assert "NaN" in capsys.readouterr().err
     assert not eval_dir.exists()  # so no metrics.txt either
+
+
+def test_dev_with_threshold_rejected_before_any_output(tmp_path, capsys):
+    # the dev equal-error point would replace the threshold that
+    # eval_config.json echoes, so the pair is refused outright
+    data_dir, split_dir, eval_dir = tmp_path / "data", tmp_path / "split", tmp_path / "eval"
+    assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
+    assert run([
+        "split", "--manifest", str(data_dir / "manifest.txt"), "--protocol", "1",
+        "--labeled-pct", "100", "--out", str(split_dir),
+    ]) == 0
+    model = build_model(ModelConfig(input_size=16, backbone_channels=(4, 6, 6), feature_side=2, embed_dim=6), seed=0)
+    trainer.save_checkpoint(model, tmp_path / "m.ckpt")
+    capsys.readouterr()
+    assert run([
+        "eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--test", str(split_dir / "test.txt"),
+        "--dev", str(split_dir / "dev.txt"), "--threshold", "0.5", "--data-root", str(data_dir),
+        "--out", str(eval_dir),
+    ]) == 1
+    assert "not both" in capsys.readouterr().err
+    assert not (eval_dir / "metrics.txt").exists() and not (eval_dir / "eval_config.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--coords", "0"], ["lemmacheck", "--trials", "0"]])
+def test_check_tools_refuse_to_check_nothing(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

@@ -209,6 +209,15 @@ class TestSynth:
         with pytest.raises(ValueError, match="attack"):
             generate_synthetic(SynthConfig(attacks=("nosuch",)), tmp_path / "x")
 
+    @pytest.mark.parametrize(
+        "name, values", [("attacks", ("print", "replay", "print")), ("datasets", ("synth0", "synth0"))]
+    )
+    def test_repeated_attack_or_dataset_rejected_before_any_output(self, tmp_path, name, values):
+        # a repeat would write one file twice and list it twice in the manifest
+        with pytest.raises(ValueError, match=f"{name} must not repeat"):
+            generate_synthetic(SynthConfig(**{name: values}), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("name", ["noise_std", "overlay_amp"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
     def test_bad_texture_knob_rejected_before_any_output(self, tmp_path, name, value):

@@ -456,11 +456,10 @@ class TestCheckpoint:
     def test_mismatched_model_rejected_with_names(self, tmp_path):
         model = build_model(TINY_MODEL, seed=16)
         save_checkpoint(model, tmp_path / "m.ckpt")
-        other = build_model(
-            ModelConfig(input_size=16, backbone_channels=(6, 8, 8), feature_side=2, embed_dim=8), seed=0
-        )
+        other = ModelConfig(input_size=16, backbone_channels=(6, 8, 8), feature_side=2, embed_dim=8)
+        self._with_arch_line(tmp_path / "m.ckpt", json.dumps(to_dict(other), sort_keys=True))
         with pytest.raises(CheckpointError, match="backbone.b1a.conv.weight"):
-            load_checkpoint(tmp_path / "m.ckpt", model=other)
+            load_checkpoint(tmp_path / "m.ckpt")
 
     def test_garbage_file_rejected(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint at all")
@@ -497,6 +496,21 @@ class TestCheckpoint:
         lines[i], lines[i + 1] = head_g + b" " + off_b, head_b + b" " + off_g
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(CheckpointError, match="backbone.b1a.bn.gamma"):
+            load_checkpoint(path)
+
+    def test_reordered_tensor_lines_rejected(self, tmp_path):
+        # swap two adjacent tensor lines and recompute their offsets: the table
+        # still tiles the data and the CRC still matches, but each name now
+        # points at the other tensor's values
+        path = tmp_path / "m.ckpt"
+        self._randomized_checkpoint(path, seed=24)
+        lines = path.read_bytes().split(b"\n")
+        i = next(k for k, line in enumerate(lines) if line.startswith(b"tensor backbone.b1a.bn.gamma "))
+        gamma, beta = (lines[k].split(b" ") for k in (i, i + 1))
+        assert beta[1] == b"backbone.b1a.bn.beta" and gamma[2:4] == beta[2:4]
+        lines[i], lines[i + 1] = b" ".join(beta[:4] + gamma[4:]), b" ".join(gamma[:4] + beta[4:])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CheckpointError, match="backbone.b1a.bn"):
             load_checkpoint(path)
 
     def test_header_byte_mutations_raise_or_load_identical_tensors(self, tmp_path):
@@ -574,9 +588,8 @@ class TestCheckpoint:
         monkeypatch.setattr(trainer, "_checkpoint_entries", lambda m: entries[:1] + [stray] + entries[1:])
         save_checkpoint(model, tmp_path / "m.ckpt")
         monkeypatch.undo()
-        for target in (None, model):
-            with pytest.raises(CheckpointError, match=r"unexpected tensors \['backbone.b1a.conv.bias'\]"):
-                load_checkpoint(tmp_path / "m.ckpt", model=target)
+        with pytest.raises(CheckpointError, match=r"unexpected tensors \['backbone.b1a.conv.bias'\]"):
+            load_checkpoint(tmp_path / "m.ckpt")
 
     @staticmethod
     def _with_arch_line(path, arch_json):
@@ -599,9 +612,8 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         self._with_arch_line(path, edit(to_dict(TINY_MODEL)))
-        for target in (None, model):
-            with pytest.raises(CheckpointError, match=match):
-                load_checkpoint(path, model=target)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
 
     def test_repeated_arch_line_rejected(self, tmp_path):
         # tensor shapes do not depend on input_size or feature_side, so a
@@ -612,6 +624,5 @@ class TestCheckpoint:
         magic, arch, rest = path.read_bytes().split(b"\n", 2)
         other = json.dumps({**to_dict(TINY_MODEL), "input_size": 24, "feature_side": 3}, sort_keys=True)
         path.write_bytes(b"\n".join([magic, arch, b"arch " + other.encode(), rest]))
-        for target in (None, model):
-            with pytest.raises(CheckpointError, match="repeated arch line"):
-                load_checkpoint(path, model=target)
+        with pytest.raises(CheckpointError, match="repeated arch line"):
+            load_checkpoint(path)
