@@ -1,9 +1,10 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Implements exactly the operations the consistency-training graph needs:
-convolution, train-mode batch normalization and its eval-mode fold into
-the convolution, ReLU, max pooling, stop-gradient, and the
-elementwise/reduction/reshaping primitives the loss terms are built from.
+convolution, train-mode batch normalization (optionally fused with the
+ReLU after it) and its eval-mode fold into the convolution, ReLU, max
+pooling, stop-gradient, and the elementwise/reduction/reshaping
+primitives the loss terms are built from.
 Forward results are plain numpy arrays; gradients are accumulated by
 replaying an explicit tape in reverse execution order.
 
@@ -130,10 +131,20 @@ def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add `g` into `t.grad`.
+
+    `owned` says the caller just allocated `g` and keeps no other reference
+    to it, so a first contribution adopts it instead of copying it. A `g`
+    that aliases another buffer (one gradient handed to two inputs, or a
+    view) must be passed with owned=False.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
+        if owned and g.dtype == t.data.dtype and g.shape == t.data.shape:
+            t.grad = g
+            return
         # first contribution: one copy instead of zeros plus an add
         t.grad = np.empty(t.data.shape, dtype=t.data.dtype)
         t.grad[...] = g
@@ -217,7 +228,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
 
     def bwd(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (a.data > 0), owned=True)
 
     return _taped(out, "relu", (a,), bwd)
 
@@ -536,12 +547,12 @@ def maxpool2d(x: Tensor) -> Tensor:
             first = (stack[t] == best) & unclaimed
             np.multiply(grad, first, out=gstack[t])
             unclaimed &= ~first
-        _accumulate(x, gstack.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c))
+        _accumulate(x, gstack.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c), owned=True)
 
     return _taped(out, "maxpool2d", (x,), bwd)
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: int = 1) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: int = 1, relu: bool = False) -> Tensor:
     """Train-mode per-channel batch normalization of a channels-last (N, H, W, C) batch.
 
     The batch splits into `slabs` equal runs of rows along N, each normalized
@@ -549,6 +560,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: i
     folded into the running statistics one slab after the other (new =
     (1 - BN_MOMENTUM) * old + BN_MOMENTUM * slab); a 2N Siamese batch with
     slabs=2 therefore computes exactly what two single-view calls would.
+    With relu=True the output is clamped at zero in place, one taped op
+    with the same values and gradients as `relu(batchnorm2d(...))`.
     Eval mode has no kernel of its own: `fold_batchnorm` moves the running
     statistics, with the same BN_EPS, into the preceding convolution.
     """
@@ -576,10 +589,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: i
     xhat *= inv_std[:, None]
     out_data = xhat * gamma.data
     out_data += beta.data
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
     out = Tensor(out_data.reshape(x.shape))
 
     def bwd(g):
         g = g.reshape(slabs, m, c)
+        if relu:
+            g = g * (out_data > 0)
         gx = g * xhat
         sum_g = _slab_sums(g)
         sum_gx = _slab_sums(gx)
@@ -589,7 +606,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: i
             dx = g - sum_g[:, None] / m
             dx -= np.multiply(xhat, sum_gx[:, None] / m, out=gx)
             dx *= (gamma.data * inv_std)[:, None]
-            _accumulate(x, dx.reshape(x.shape))
+            _accumulate(x, dx.reshape(x.shape), owned=True)
 
     return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
 

@@ -127,14 +127,13 @@ def auc(samples: list[ScoredSample]) -> float:
     ROC area.
     """
     live, spoof = _split_classes(samples)
-    live_sorted = np.sort(np.array([s.score for s in live]))
-    wins = 0
-    ties = 0
-    for s in spoof:
-        left = int(np.searchsorted(live_sorted, s.score, side="left"))
-        right = int(np.searchsorted(live_sorted, s.score, side="right"))
-        wins += left
-        ties += right - left
+    live_sorted = np.sort([s.score for s in live])
+    spoof_scores = [s.score for s in spoof]
+    # per spoof score, the live scores below it and those below or equal to it
+    below = np.searchsorted(live_sorted, spoof_scores, side="left")
+    at_most = np.searchsorted(live_sorted, spoof_scores, side="right")
+    wins = int(below.sum())
+    ties = int(at_most.sum()) - wins
     return (2 * wins + ties) / (2 * len(spoof) * len(live))
 
 

@@ -92,9 +92,10 @@ class Conv2d:
 class ConvBNBlock:
     """Conv (no bias) -> batch norm (`gamma`, `beta`, running `state`) -> optional ReLU -> optional max-pool.
 
-    `train` normalizes each view of a 2N batch with its own statistics;
-    `eval` folds the running statistics into the convolution, recomputed
-    on every call because the optimizer updates the parameters in place.
+    `train` normalizes each view of a 2N batch with its own statistics,
+    with the ReLU fused into the batch norm as one taped op; `eval` folds
+    the running statistics into the convolution, recomputed on every call
+    because the optimizer updates the parameters in place.
     """
 
     def __init__(self, rng, cin, cout, k, stride=1, padding=0, with_relu=True, pool=False, dtype=np.float32):
@@ -106,13 +107,12 @@ class ConvBNBlock:
         self.pool = pool
 
     def train(self, x: Tensor) -> Tensor:
-        return self._activate(diffcore.batchnorm2d(self.conv(x), self.gamma, self.beta, self.state, slabs=2))
+        out = diffcore.batchnorm2d(self.conv(x), self.gamma, self.beta, self.state, slabs=2, relu=self.with_relu)
+        return diffcore.maxpool2d(out) if self.pool else out
 
     def eval(self, x: Tensor) -> Tensor:
         weight, bias = diffcore.fold_batchnorm(self.conv.weight, self.gamma, self.beta, self.state)
-        return self._activate(diffcore.conv2d(x, weight, bias, self.conv.stride, self.conv.padding))
-
-    def _activate(self, out: Tensor) -> Tensor:
+        out = diffcore.conv2d(x, weight, bias, self.conv.stride, self.conv.padding)
         if self.with_relu:
             out = diffcore.relu(out)
         return diffcore.maxpool2d(out) if self.pool else out

@@ -10,6 +10,7 @@ is the model's: `fit` loads images at the dtype the model was built with.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -88,6 +89,28 @@ class MomentumSGD:
             v *= p.data.dtype.type(MOMENTUM)
             v += p.grad + p.data.dtype.type(WEIGHT_DECAY) * p.data
             p.data -= p.data.dtype.type(lr) * v
+
+
+# glibc `mallopt` parameters and the values `fit` and `evaluate` set: a
+# block under MMAP_THRESHOLD comes from the heap rather than its own
+# mapping, and free memory at the heap's top goes back to the kernel only
+# past TRIM_THRESHOLD. A step's activations (about 1.2 MB each at the trend
+# shape) then reuse the previous step's pages instead of faulting in fresh ones.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
+
+
+def _retain_heap() -> None:
+    """Keep freed buffers in the process heap; a no-op where the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def train_step(
@@ -200,12 +223,15 @@ def fit(
     """Train over the split at the model's precision; returns the checkpoint path.
 
     Writes `config.json`, an append-only `train.log` with one loss line per
-    step, and `checkpoint.ckpt`, rewritten at the end of every epoch.
+    step, and `checkpoint.ckpt`, rewritten at the end of every epoch. On
+    glibc it first sets `mallopt` so freed step buffers stay in the heap
+    (see `_retain_heap`); the setting outlives the call.
     `batches` is the `training_batches` stream when the caller has already
     started it (`crfas train --dump-views` reads its first batch), so its
     images are not loaded a second time.
     """
     config.validate()
+    _retain_heap()
     _, _, steps_per_epoch = _batch_layout(split, config)
     total_steps = config.epochs * steps_per_epoch
     out_dir = Path(out_dir)
@@ -376,6 +402,7 @@ def evaluate(
         raise ValueError("pass dev records or a threshold, not both: the dev equal-error point would replace it")
     if threshold is not None and math.isnan(threshold):
         raise ValueError("threshold is NaN; no score can be compared against it")
+    _retain_heap()
     model = load_checkpoint(checkpoint_path)
     if dev_records:
         dev_scored = score_records(model, dev_records, data_root)

@@ -257,6 +257,51 @@ class TestBatchNorm:
         for got, want in zip(joint[2:], single[2:]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slabs", [1, 2])
+    def test_fused_relu_is_bitwise_relu_of_batchnorm(self, dtype, slabs):
+        rng = np.random.default_rng(24)
+        x0 = (rng.standard_normal((4, 3, 3, 3)) * 2.0 + 0.5).astype(dtype)
+        weights = Tensor(rng.standard_normal(x0.shape).astype(dtype))
+        gamma0 = (rng.standard_normal(3) + 1.0).astype(dtype)
+        beta0 = rng.standard_normal(3).astype(dtype)
+        # |xhat| < sqrt(rows per slab) <= 6, so channel 0's pre-activation is all below zero
+        gamma0[0], beta0[0] = 0.5, -10.0
+
+        def run(fused):
+            x = Tensor(x0.copy(), requires_grad=True)
+            gamma, beta = Tensor(gamma0.copy(), requires_grad=True), Tensor(beta0.copy(), requires_grad=True)
+            state = BNState.create(3, dtype)
+            with Tape() as tape:
+                if fused:
+                    out = batchnorm2d(x, gamma, beta, state, slabs=slabs, relu=True)
+                else:
+                    out = relu(batchnorm2d(x, gamma, beta, state, slabs=slabs))
+                tape.backward(sum_all(mul(out, weights)))
+            return out.data, state.running_mean, state.running_var, x.grad, gamma.grad, beta.grad
+
+        fused, unfused = run(True), run(False)
+        assert not fused[0][..., 0].any() and fused[0][..., 1:].any()
+        for got, want in zip(fused, unfused):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradcheck_fused_relu(self):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((4, 4, 4, 2)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(2) + 1.0, requires_grad=True)
+        beta = Tensor(rng.standard_normal(2), requires_grad=True)
+        state = BNState.create(2, np.float64)
+        target = rng.standard_normal((4, 4, 4, 2))
+
+        def loss_fn():
+            out = batchnorm2d(x, gamma, beta, state, slabs=2, relu=True)
+            d = sub(out, Tensor(target))
+            return mean_all(mul(d, d))
+
+        report = grad_check(loss_fn, {"x": x, "gamma": gamma, "beta": beta})
+        assert report.passed, report.format_lines()
+
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((3, 4, 4, 2)), requires_grad=True)

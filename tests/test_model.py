@@ -200,8 +200,9 @@ class TestKernelCalls:
         rng = np.random.default_rng(12)
         x1, x2 = rand_input(rng), rand_input(rng)
         counts = kernel_calls(lambda: model.forward_views(x1, x2))
-        # 10 conv-BN blocks (9 with ReLU, one pooled), the predictor's output conv and the classifier on both maps
-        assert counts == {"conv2d": 13, "batchnorm2d": 10, "relu": 9, "maxpool2d": 1, "fold_batchnorm": 0}
+        # 10 conv-BN blocks (9 with their ReLU fused into the batch norm, one
+        # pooled), the predictor's output conv and the classifier on both maps
+        assert counts == {"conv2d": 13, "batchnorm2d": 10, "relu": 0, "maxpool2d": 1, "fold_batchnorm": 0}
 
     def test_encode_calls(self):
         model = small_model(seed=13)
