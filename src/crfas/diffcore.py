@@ -131,20 +131,10 @@ def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add `g` into `t.grad`.
-
-    `owned` says the caller just allocated `g` and keeps no other reference
-    to it, so a first contribution adopts it instead of copying it. A `g`
-    that aliases another buffer (one gradient handed to two inputs, or a
-    view) must be passed with owned=False.
-    """
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        if owned and g.dtype == t.data.dtype and g.shape == t.data.shape:
-            t.grad = g
-            return
         # first contribution: one copy instead of zeros plus an add
         t.grad = np.empty(t.data.shape, dtype=t.data.dtype)
         t.grad[...] = g
@@ -228,7 +218,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
 
     def bwd(g):
-        _accumulate(a, g * (a.data > 0), owned=True)
+        _accumulate(a, g * (a.data > 0))
 
     return _taped(out, "relu", (a,), bwd)
 
@@ -547,7 +537,7 @@ def maxpool2d(x: Tensor) -> Tensor:
             first = (stack[t] == best) & unclaimed
             np.multiply(grad, first, out=gstack[t])
             unclaimed &= ~first
-        _accumulate(x, gstack.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c), owned=True)
+        _accumulate(x, gstack.reshape(k, k, n, ho, wo, c).transpose(2, 3, 0, 4, 1, 5).reshape(n, h, w, c))
 
     return _taped(out, "maxpool2d", (x,), bwd)
 
@@ -606,7 +596,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: i
             dx = g - sum_g[:, None] / m
             dx -= np.multiply(xhat, sum_gx[:, None] / m, out=gx)
             dx *= (gamma.data * inv_std)[:, None]
-            _accumulate(x, dx.reshape(x.shape), owned=True)
+            _accumulate(x, dx.reshape(x.shape))
 
     return _taped(out, "batchnorm2d", (x, gamma, beta), bwd)
 

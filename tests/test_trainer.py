@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from crfas import diffcore, trainer
+from crfas import trainer
 from crfas.augment import AugmentConfig, compose_views
 from crfas.config import to_dict
 from crfas.data import ManifestError, SplitSpec, SynthConfig, generate_synthetic, load_image, split, write_image
@@ -138,32 +138,6 @@ class TestTrainStep:
         optimizer = MomentumSGD(model.named_params())
         train_step(model, tiny_batch(np.random.default_rng(4)), config, 0, 10, optimizer)
         assert len(recorded) == 1 and recorded[0] < 72
-
-    def test_no_two_tensors_share_a_gradient_buffer(self, monkeypatch):
-        # backward adopts the buffers an op owns instead of copying them;
-        # adopting one twice, or a view of another array, would let one
-        # tensor's accumulation write into another's gradient
-        seen, adopted = {}, []
-        accumulate = diffcore._accumulate
-
-        def recording(t, g, owned=False):
-            first = t.grad is None
-            accumulate(t, g, owned)
-            seen[id(t)] = t
-            if first and t.grad is g:
-                adopted.append(t)
-
-        monkeypatch.setattr(diffcore, "_accumulate", recording)
-        model = build_model(TINY_MODEL, seed=5)
-        optimizer = MomentumSGD(model.named_params())
-        train_step(model, tiny_batch(np.random.default_rng(5)), tiny_config(), 0, 10, optimizer)
-        tensors = [t for t in seen.values() if t.grad is not None]
-        assert adopted and len(tensors) > len(model.named_params())
-        for i, a in enumerate(tensors):
-            for b in tensors[i + 1 :]:
-                assert not np.shares_memory(a.grad, b.grad)
-            for b in tensors:
-                assert not np.shares_memory(a.grad, b.data)
 
     def test_weight_decay_shrinks_without_gradient(self):
         # the velocity starts at zero, so momentum does not enter the first step
