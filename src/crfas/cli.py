@@ -7,6 +7,7 @@ its effective configuration into its output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -29,21 +30,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated list of names; empty items are dropped."""
+    return tuple(name for name in text.split(",") if name)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crfas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    # each flag's dest is its SynthConfig field; flags left out keep the field's default
     p = sub.add_parser("synth", help="generate the synthetic live/spoof dataset")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--sessions", type=int, default=3)
-    p.add_argument("--attacks", default="print,replay")
-    p.add_argument("--per-cell", type=int, default=1)
-    p.add_argument("--side", type=int, default=24)
-    p.add_argument("--datasets", default="synth0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--overlay", type=float, default=0.08)
+    p.add_argument("--subjects", type=int)
+    p.add_argument("--sessions", type=int)
+    p.add_argument("--attacks", type=_names, help="comma-separated attack types")
+    p.add_argument("--per-cell", type=int)
+    p.add_argument("--side", type=int)
+    p.add_argument("--datasets", type=_names, help="comma-separated dataset ids")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--noise", dest="noise_std", type=float)
+    p.add_argument("--overlay", dest="overlay_amp", type=float)
 
     p = sub.add_parser("split", help="partition a manifest with one of the 5 protocols")
     p.add_argument("--manifest", required=True, type=Path)
@@ -91,17 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = dat.SynthConfig(
-        subjects=args.subjects,
-        sessions=args.sessions,
-        attacks=tuple(a for a in args.attacks.split(",") if a),
-        per_cell=args.per_cell,
-        side=args.side,
-        datasets=tuple(d for d in args.datasets.split(",") if d),
-        seed=args.seed,
-        noise_std=args.noise,
-        overlay_amp=args.overlay,
-    )
+    cfg = dat.SynthConfig()
+    for field in dataclasses.fields(cfg):
+        if getattr(args, field.name) is not None:
+            setattr(cfg, field.name, getattr(args, field.name))
     records = dat.generate_synthetic(cfg, args.out)
     (args.out / "synth_config.json").write_text(json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(records)} images under {args.out}")

@@ -560,6 +560,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState, slabs: i
     n, h, w, c = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d: affine shapes {gamma.shape}/{beta.shape} do not match {c} channels")
+    if gamma.dtype != x.dtype or beta.dtype != x.dtype:
+        raise ShapeError("batchnorm2d: mixed dtypes")
     if slabs < 1 or n % slabs:
         raise ShapeError(f"batchnorm2d: batch of {n} does not split into {slabs} equal slabs")
     if n < 1:

@@ -7,6 +7,11 @@ spoof, ACER their mean. HTER averages FAR (spoof accepted live) and FRR
 (live rejected) at a threshold fixed on a development set; AUC is the
 rank-based probability that a random spoof outscores a random live sample,
 ties counted one half.
+
+Every rate, at one threshold or at all EER candidates, and AUC's pair
+counts come from one split of the samples into sorted live scores and
+sorted spoof scores per attack type, and one count of the scores below
+each threshold.
 """
 from __future__ import annotations
 
@@ -37,46 +42,51 @@ class ErrorRates:
     apcer: float
     bpcer: float
     acer: float
+    hter: float
     apcer_by_type: dict[str, float]
 
 
-def _split_classes(samples: list[ScoredSample]):
-    live = [s for s in samples if s.label == "live"]
-    spoof = [s for s in samples if s.label == "spoof"]
-    if not live or not spoof:
-        raise ValueError(f"need both classes, got {len(live)} live and {len(spoof)} spoof")
-    return live, spoof
+def _classes(samples: list[ScoredSample]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Sorted live scores, and sorted spoof scores per attack type in name order."""
+    live, by_type = [], {}
+    for s in samples:
+        if s.label == "live":
+            live.append(s.score)
+        else:
+            by_type.setdefault(s.attack_type, []).append(s.score)
+    if not live or not by_type:
+        n_spoof = sum(map(len, by_type.values()))
+        raise ValueError(f"need both classes, got {len(live)} live and {n_spoof} spoof")
+    return np.sort(live), {t: np.sort(by_type[t]) for t in sorted(by_type)}
+
+
+def _count_below(sorted_scores: np.ndarray, thresholds):
+    """Per threshold, how many of `sorted_scores` lie below it (are classified live)."""
+    return np.searchsorted(sorted_scores, thresholds, side="left")
+
+
+def _rates(live: np.ndarray, by_type: dict[str, np.ndarray], thresholds):
+    """FAR, FRR and APCER per attack type at each threshold, as integer counts over class sizes."""
+    below = {t: _count_below(scores, thresholds) for t, scores in by_type.items()}
+    far = sum(below.values()) / sum(scores.size for scores in by_type.values())
+    frr = (live.size - _count_below(live, thresholds)) / live.size
+    return far, frr, {t: below[t] / by_type[t].size for t in by_type}
 
 
 def error_rates(samples: list[ScoredSample], threshold: float) -> ErrorRates:
-    """APCER / BPCER / ACER at a threshold; ±inf is allowed, NaN raises ValueError.
+    """APCER / BPCER / ACER / HTER at a threshold; ±inf is allowed, NaN raises ValueError.
 
     Per attack type, APCER_type is the fraction of that type scored below
     the threshold (classified live); APCER takes the maximum over types.
-    """
-    _, bpcer = far_frr(samples, threshold)
-    by_type: dict[str, list[ScoredSample]] = {}
-    for s in samples:
-        if s.label == "spoof":
-            by_type.setdefault(s.attack_type, []).append(s)
-    apcer_by_type = {
-        t: sum(1 for s in group if s.score < threshold) / len(group) for t, group in sorted(by_type.items())
-    }
-    apcer = max(apcer_by_type.values())
-    return ErrorRates(apcer, bpcer, (apcer + bpcer) / 2, apcer_by_type)
-
-
-def far_frr(samples: list[ScoredSample], threshold: float) -> tuple[float, float]:
-    """FAR: spoof accepted as live (score < threshold). FRR: live rejected.
-
-    A NaN threshold, against which every comparison is false, raises ValueError.
+    FAR counts every spoof scored below the threshold, FRR (= BPCER) every
+    live sample at or above it, and HTER is their mean.
     """
     if math.isnan(threshold):
         raise ValueError("threshold is NaN; no score can be compared against it")
-    live, spoof = _split_classes(samples)
-    far = sum(1 for s in spoof if s.score < threshold) / len(spoof)
-    frr = sum(1 for s in live if s.score >= threshold) / len(live)
-    return far, frr
+    far, frr, by_type = _rates(*_classes(samples), threshold)
+    apcer_by_type = {t: float(rate) for t, rate in by_type.items()}
+    apcer, bpcer = max(apcer_by_type.values()), float(frr)
+    return ErrorRates(apcer, bpcer, (apcer + bpcer) / 2, (float(far) + bpcer) / 2, apcer_by_type)
 
 
 def eer_threshold(dev_samples: list[ScoredSample]) -> float:
@@ -86,55 +96,36 @@ def eer_threshold(dev_samples: list[ScoredSample]) -> float:
     point below and above all scores; ties break toward smaller ACER, then
     toward the smaller threshold.
 
-    All candidates are scored at once: each class's (and each attack
-    type's) sorted scores are searched for every candidate, giving the
-    integer count of scores below it, so FAR, FRR and the per-type APCER
-    cost O(n log n) in all. The rates are the same float divisions of the
-    same counts that `far_frr` and `error_rates` make, and `np.lexsort`
-    picks the smallest (|FAR - FRR|, ACER, threshold) key, so the result
-    is exactly the threshold a sweep over those functions would return.
+    Every candidate is rated at once by the same count `error_rates` makes
+    at one threshold, so the rates are the same float divisions of the same
+    integer counts, and `np.lexsort` picks the smallest (|FAR - FRR|, ACER,
+    threshold) key: exactly the threshold a sweep of `error_rates` over the
+    candidates would return, in O(n log n).
     """
-    live, spoof = _split_classes(dev_samples)
-    # sort and drop repeats rather than np.unique, whose first call grows
-    # the process's peak RSS by about 1 MiB
-    scores = np.sort([s.score for s in dev_samples])
+    live, by_type = _classes(dev_samples)
+    scores = np.sort(np.concatenate([live, *by_type.values()]))
+    # drop repeats rather than call np.unique, whose first call grows the
+    # process's peak RSS by about 1 MiB
     distinct = scores[np.concatenate(([True], scores[1:] != scores[:-1]))]
     candidates = np.concatenate(([distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2, [distinct[-1] + 1.0]))
-
-    def count_below(scores: list[float]) -> np.ndarray:
-        """Per candidate, how many of `scores` lie below it (are classified live)."""
-        return np.searchsorted(np.sort(scores), candidates, side="left")
-
-    by_type: dict[str, list[float]] = {}
-    for s in spoof:
-        by_type.setdefault(s.attack_type, []).append(s.score)
-    far = count_below([s.score for s in spoof]) / len(spoof)
-    frr = (len(live) - count_below([s.score for s in live])) / len(live)
-    apcer = np.max([count_below(scores) / len(scores) for scores in by_type.values()], axis=0)
+    far, frr, apcer_by_type = _rates(live, by_type, candidates)
+    apcer = np.max(list(apcer_by_type.values()), axis=0)
     best = np.lexsort((candidates, (apcer + frr) / 2, np.abs(far - frr)))[0]
     return float(candidates[best])
-
-
-def hter(test_samples: list[ScoredSample], threshold: float) -> float:
-    far, frr = far_frr(test_samples, threshold)
-    return (far + frr) / 2
 
 
 def auc(samples: list[ScoredSample]) -> float:
     """Probability a random spoof outscores a random live sample, ties as 1/2.
 
-    Exact integer pair counting via sorted search; equals the trapezoidal
-    ROC area.
+    Exact integer pair counting: with W spoof-live pairs won by the spoof
+    and L lost, the ties are P - W - L of the P pairs, so the area is
+    (P + W - L) / 2P. Equals the trapezoidal ROC area.
     """
-    live, spoof = _split_classes(samples)
-    live_sorted = np.sort([s.score for s in live])
-    spoof_scores = [s.score for s in spoof]
-    # per spoof score, the live scores below it and those below or equal to it
-    below = np.searchsorted(live_sorted, spoof_scores, side="left")
-    at_most = np.searchsorted(live_sorted, spoof_scores, side="right")
-    wins = int(below.sum())
-    ties = int(at_most.sum()) - wins
-    return (2 * wins + ties) / (2 * len(spoof) * len(live))
+    live, by_type = _classes(samples)
+    wins = sum(int(_count_below(live, spoof).sum()) for spoof in by_type.values())
+    losses = sum(int(_count_below(spoof, live).sum()) for spoof in by_type.values())
+    pairs = live.size * sum(spoof.size for spoof in by_type.values())
+    return (pairs + wins - losses) / (2 * pairs)
 
 
 def write_scores(samples: list[ScoredSample], path) -> None:

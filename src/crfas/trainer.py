@@ -27,7 +27,7 @@ from .augment import AugmentConfig, compose_views
 from .config import ConfigError, from_dict, to_dict
 from .data import ManifestError, ManifestRecord, SplitResult, load_image
 from .diffcore import DTYPES, Tape, Tensor
-from .metrics import ScoredSample, auc, eer_threshold, error_rates, hter, write_scores, write_summary
+from .metrics import ScoredSample, auc, eer_threshold, error_rates, write_scores, write_summary
 from .model import ModelConfig, SiameseDenseNet, build_model
 
 
@@ -395,11 +395,13 @@ def evaluate(
     dev set's (FAR + FRR) / 2 at that threshold; otherwise an explicit
     threshold is required. One `apcer_<type>` entry per attack type of the
     test set follows the aggregate rates. Dev records together with a
-    threshold, and a NaN threshold, against which every comparison is
-    false, are rejected before anything is read.
+    threshold, neither of them, and a NaN threshold, against which every
+    comparison is false, are rejected before anything is read.
     """
     if dev_records is not None and threshold is not None:
         raise ValueError("pass dev records or a threshold, not both: the dev equal-error point would replace it")
+    if not dev_records and threshold is None:
+        raise ValueError("no dev samples and no explicit threshold: pass one of them to fix the operating point")
     if threshold is not None and math.isnan(threshold):
         raise ValueError("threshold is NaN; no score can be compared against it")
     _retain_heap()
@@ -407,18 +409,16 @@ def evaluate(
     if dev_records:
         dev_scored = score_records(model, dev_records, data_root)
         threshold = eer_threshold(dev_scored)
-    elif threshold is None:
-        raise ValueError("no dev samples and no explicit threshold: pass one of them to fix the operating point")
     scored = score_records(model, test_records, data_root)
     rates = error_rates(scored, threshold)
     summary = {"threshold": float(threshold)}
     if dev_records:
-        summary["dev_eer"] = hter(dev_scored, threshold)
+        summary["dev_eer"] = error_rates(dev_scored, threshold).hter
     summary.update({
         "apcer": rates.apcer,
         "bpcer": rates.bpcer,
         "acer": rates.acer,
-        "hter": hter(scored, threshold),
+        "hter": rates.hter,
         "auc": auc(scored),
     })
     summary.update({f"apcer_{t}": rate for t, rate in rates.apcer_by_type.items()})

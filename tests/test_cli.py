@@ -11,7 +11,8 @@ import pytest
 import crfas
 from crfas import trainer
 from crfas.cli import run
-from crfas.data import read_image, read_manifest
+from crfas.config import to_dict
+from crfas.data import SynthConfig, read_image, read_manifest
 from crfas.model import ModelConfig, build_model
 
 
@@ -101,6 +102,17 @@ def test_synth_split_train_eval_pipeline(tmp_path, capsys):
     assert (eval_dir / "scores.txt").exists()
     summary = (eval_dir / "metrics.txt").read_text()
     assert "acer=" in summary and "auc=" in summary
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [([], SynthConfig()),
+     (["--attacks", "print", "--noise", "0.05", "--side", "16"], SynthConfig(attacks=("print",), noise_std=0.05, side=16))],
+    ids=["defaults", "overrides"],
+)
+def test_synth_flags_override_only_the_fields_given(flags, want, tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path / "d"), *flags]) == 0
+    assert json.loads((tmp_path / "d" / "synth_config.json").read_text()) == to_dict(want)
 
 
 def test_split_counts_satisfy_partition(tmp_path, capsys):

@@ -183,6 +183,15 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)), rtol=1e-12)
 
+    @pytest.mark.parametrize("affine", ["gamma", "beta"])
+    def test_mixed_dtypes_rejected(self, affine):
+        # an f64 affine parameter would promote an f32 batch's output to f64
+        x = Tensor(np.zeros((2, 3, 3, 2), dtype=np.float32))
+        params = {"gamma": Tensor(np.ones(2, dtype=np.float32)), "beta": Tensor(np.zeros(2, dtype=np.float32))}
+        params[affine] = Tensor(np.ones(2))
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            batchnorm2d(x, params["gamma"], params["beta"], BNState.create(2))
+
     # eval mode is the fold of the running statistics into the preceding
     # convolution; an identity 1x1 convolution exposes the bare normalization
 

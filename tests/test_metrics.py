@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crfas.metrics import ScoredSample, auc, eer_threshold, error_rates, far_frr, hter
+from crfas.metrics import ScoredSample, auc, eer_threshold, error_rates
 
 
 def live(score):
@@ -24,14 +24,28 @@ def auc_pair_counting(samples):
     return (wins + 0.5 * ties) / (len(spoofs) * len(lives))
 
 
+def counted_rates(samples, thr):
+    """(FAR, FRR, ACER) at `thr` by plain comparisons, one sample at a time."""
+    lives = [s.score for s in samples if s.label == "live"]
+    by_type = {}
+    for s in samples:
+        if s.label == "spoof":
+            by_type.setdefault(s.attack_type, []).append(s.score)
+    spoofs = [x for scores in by_type.values() for x in scores]
+    far = sum(1 for x in spoofs if x < thr) / len(spoofs)
+    frr = sum(1 for x in lives if x >= thr) / len(lives)
+    apcer = max(sum(1 for x in scores if x < thr) / len(scores) for scores in by_type.values())
+    return far, frr, (apcer + frr) / 2
+
+
 def eer_threshold_sweep(samples):
     """Exhaustive oracle over the same candidate set, restated independently."""
     scores = sorted({s.score for s in samples})
     candidates = [scores[0] - 1.0] + [(a + b) / 2 for a, b in zip(scores, scores[1:])] + [scores[-1] + 1.0]
     rows = []
     for thr in candidates:
-        far, frr = far_frr(samples, thr)
-        rows.append((abs(far - frr), error_rates(samples, thr).acer, thr))
+        far, frr, acer = counted_rates(samples, thr)
+        rows.append((abs(far - frr), acer, thr))
     return min(rows)[2]
 
 
@@ -90,25 +104,38 @@ class TestErrorRates:
     def test_nan_threshold_rejected(self):
         # every comparison with NaN is false, which would read as a perfect score
         samples = [live(0.1), live(0.9), spoof(0.5), spoof(0.6)]
-        for rate_fn in (error_rates, far_frr, hter):
-            with pytest.raises(ValueError, match="NaN"):
-                rate_fn(samples, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            error_rates(samples, math.nan)
+
+    def test_rates_match_counted_oracle(self):
+        # FAR counts every spoof, so with several attack types HTER is not
+        # (APCER + BPCER) / 2; ±inf and tied thresholds are included
+        rng = np.random.default_rng(5)
+        types = ("print", "replay", "mask")
+        for trial in range(60):
+            n_types = trial % 3 + 1
+            scores = np.round(rng.random(int(rng.integers(n_types + 5, 40))), 1).tolist()
+            samples = [live(x) for x in scores[:1 + trial % 5]]
+            samples += [spoof(x, types[i % n_types]) for i, x in enumerate(scores[1 + trial % 5:])]
+            for thr in (-math.inf, math.inf, scores[0], float(rng.random())):
+                far, frr, acer = counted_rates(samples, thr)
+                rates = error_rates(samples, thr)
+                assert (rates.bpcer, rates.acer, rates.hter) == (frr, acer, (far + frr) / 2)
 
 
 class TestEerHter:
     def test_disjoint_ranges_give_zero(self):
         samples = [live(0.1), live(0.2), spoof(0.8), spoof(0.9)]
-        thr = eer_threshold(samples)
-        far, frr = far_frr(samples, thr)
-        assert far == 0.0 and frr == 0.0
-        assert hter(samples, thr) == 0.0
+        rates = error_rates(samples, eer_threshold(samples))
+        assert rates.apcer == 0.0 and rates.bpcer == 0.0
+        assert rates.hter == 0.0
 
     def test_interleaved_example(self):
         samples = [live(0.1), live(0.2), spoof(0.15), spoof(0.3)]
         thr = eer_threshold(samples)
         assert 0.15 < thr < 0.2
-        far, frr = far_frr(samples, thr)
-        assert far == 0.5 and frr == 0.5
+        rates = error_rates(samples, thr)
+        assert rates.apcer == 0.5 and rates.bpcer == 0.5 and rates.hter == 0.5
 
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(2)
@@ -141,14 +168,16 @@ class TestEerHter:
         # max over attack types in ACER prefers the larger threshold
         samples = [spoof(0.5, "print"), live(1.0), live(2.0), live(3.0), spoof(3.0, "replay")]
         samples += [live(5.0), spoof(6.0, "replay"), spoof(7.0, "replay")]
-        assert far_frr(samples, 2.5) == (0.25, 0.5) and far_frr(samples, 4.0) == (0.5, 0.25)
-        assert error_rates(samples, 4.0).acer < error_rates(samples, 2.5).acer
+        low, high = error_rates(samples, 2.5), error_rates(samples, 4.0)
+        # FAR 0.25 and 0.5, FRR 0.5 and 0.25
+        assert (low.bpcer, low.hter) == (0.5, 0.375) and (high.bpcer, high.hter) == (0.25, 0.375)
+        assert high.acer < low.acer
         assert eer_threshold(samples) == eer_threshold_sweep(samples) == 4.0
 
     def test_threshold_below_all_scores(self):
         samples = [live(0.3), live(0.4), spoof(0.6), spoof(0.7)]
         # everything classified spoof: FRR 1, FAR 0
-        assert hter(samples, -10.0) == 0.5
+        assert error_rates(samples, -10.0).hter == 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

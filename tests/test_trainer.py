@@ -13,7 +13,7 @@ from crfas.config import to_dict
 from crfas.data import ManifestError, SplitSpec, SynthConfig, generate_synthetic, load_image, split, write_image
 from crfas.diffcore import Tape, Tensor
 from crfas.losses import loss_overall
-from crfas.metrics import error_rates, far_frr
+from crfas.metrics import error_rates
 from crfas.model import ModelConfig, build_model
 from crfas.trainer import (
     WEIGHT_DECAY,
@@ -319,8 +319,7 @@ class TestFitAndEvaluate:
         dev = result.dev or result.labeled_train
         summary = evaluate(final, result.test, root, dev_records=dev, out_dir=tmp_path / "eval")
         dev_scored = score_records(load_checkpoint(final), dev, root)
-        far, frr = far_frr(dev_scored, summary["threshold"])
-        assert summary["dev_eer"] == (far + frr) / 2
+        assert summary["dev_eer"] == error_rates(dev_scored, summary["threshold"]).hter
         types = sorted({r.attack_type for r in result.test if r.label == "spoof"})
         assert types == ["print", "replay"]
         by_type = {t: summary[f"apcer_{t}"] for t in types}
@@ -339,6 +338,16 @@ class TestFitAndEvaluate:
         final = fit(model, result, tiny_config(epochs=1, seed=11), tmp_path / "t", root)
         with pytest.raises(ValueError, match="threshold"):
             evaluate(final, result.test, root)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({}, "no dev samples"), ({"dev_records": []}, "no dev samples"), ({"threshold": math.nan}, "NaN")],
+        ids=["neither", "empty_dev", "nan_threshold"],
+    )
+    def test_evaluate_rejects_arguments_before_reading_the_checkpoint(self, tmp_path, kwargs, match):
+        # the checkpoint does not exist, so reading it would raise CheckpointError
+        with pytest.raises(ValueError, match=match):
+            evaluate(tmp_path / "missing.ckpt", [], tmp_path, **kwargs)
 
     def test_evaluate_with_extreme_threshold(self, tiny_data, tmp_path):
         root, records = tiny_data
