@@ -35,6 +35,16 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(name for name in text.split(",") if name)
 
 
+def _percent(text: str) -> float:
+    """A percentage, parsed to the fraction it sets."""
+    return float(text) / 100.0
+
+
+def _given(args, names) -> dict:
+    """The flags among `names` that were given; a flag left out keeps its default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crfas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -52,13 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", dest="noise_std", type=float)
     p.add_argument("--overlay", dest="overlay_amp", type=float)
 
+    # past the three required flags, each flag's dest is the protocol parameter it sets
     p = sub.add_parser("split", help="partition a manifest with one of the 5 protocols")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--protocol", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--labeled-pct", type=float, help="protocols 1 and 4")
+    p.add_argument("--labeled-pct", dest="label_fraction", type=_percent, help="protocols 1 and 4")
     p.add_argument("--extra-mode", choices=["none", "live_only_p", "live_spoof_p"], help="protocol 2")
-    p.add_argument("--extra-pct", type=float, help="protocol 2")
+    p.add_argument("--extra-pct", dest="extra_fraction", type=_percent, help="protocol 2")
     p.add_argument("--unlabeled-dataset", help="protocol 3")
     p.add_argument("--test-dataset", help="protocols 3 and 4")
     p.add_argument("--unlabeled-attack", help="protocol 5")
@@ -98,10 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = dat.SynthConfig()
-    for field in dataclasses.fields(cfg):
-        if getattr(args, field.name) is not None:
-            setattr(cfg, field.name, getattr(args, field.name))
+    cfg = dat.SynthConfig(**_given(args, (field.name for field in dataclasses.fields(dat.SynthConfig))))
     records = dat.generate_synthetic(cfg, args.out)
     (args.out / "synth_config.json").write_text(json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(records)} images under {args.out}")
@@ -110,21 +118,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_split(args) -> int:
     records = dat.read_manifest(args.manifest)
-    params = {}
-    if args.labeled_pct is not None:
-        params["label_fraction"] = args.labeled_pct / 100.0
-    if args.extra_mode is not None:
-        params["extra_mode"] = args.extra_mode
-    if args.extra_pct is not None:
-        params["extra_fraction"] = args.extra_pct / 100.0
-    if args.unlabeled_dataset is not None:
-        params["unlabeled_dataset"] = args.unlabeled_dataset
-    if args.test_dataset is not None:
-        params["test_dataset"] = args.test_dataset
-    if args.unlabeled_attack is not None:
-        params["unlabeled_attack"] = args.unlabeled_attack
-    if args.test_attack is not None:
-        params["test_attack"] = args.test_attack
+    params = _given(args, (name for name in vars(args) if name not in ("verb", "manifest", "protocol", "out")))
     result = dat.split(records, dat.SplitSpec(protocol=args.protocol, params=params))
     provenance = {"protocol": args.protocol, "params": json.dumps(params, sort_keys=True)}
     paths = dat.write_split(result, args.out, provenance)
@@ -141,9 +135,7 @@ def _cmd_train(args) -> int:
         config = from_dict(trainer.TrainConfig, json.loads(args.config.read_text()))
     else:
         config = trainer.TrainConfig()
-    for name in ("epochs", "batch_size", "seed", "alpha"):
-        if getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
+    config = dataclasses.replace(config, **_given(args, ("epochs", "batch_size", "seed", "alpha")))
     config.validate()
     split_result = dat.read_split(args.split_dir)
     if args.supervised_only:

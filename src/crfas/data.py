@@ -10,15 +10,20 @@ manifest into labeled-train / unlabeled-train / dev / test lists:
   4  subject-prefix labeling inside every training dataset, held-out tests
   5  five attack types labeled, one attack type unlabeled, one tests
 
-Fractions always count whole subjects in ascending subject-id order and
-round down. The dev list is carved from labeled-train as the last 20% of
-its subjects (per dataset), again rounding down.
+Each protocol is a function `_protocol_N(records, *, <params>)` that returns
+(labeled, unlabeled, test); its keyword-only parameters and their defaults
+are the params a `SplitSpec` may give it. `split` then carves the dev list
+from labeled as the last 20% of its subjects (per dataset), rounding down.
+Fractions are real numbers in (0, 1] that count whole subjects in ascending
+id order, round down, and must select at least one subject.
 
 Images are stored and loaded channels-last: `load_image` returns the
 `.fimg` pixels as an (H, W, 3) array in the file's own order.
 """
 from __future__ import annotations
 
+import inspect
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,18 +87,11 @@ class SplitSpec:
     protocol: int
     params: dict = field(default_factory=dict)
 
-    _ALLOWED = {
-        1: {"label_fraction"},
-        2: {"extra_mode", "extra_fraction"},
-        3: {"unlabeled_dataset", "test_dataset"},
-        4: {"label_fraction", "test_dataset"},
-        5: {"unlabeled_attack", "test_attack"},
-    }
-
     def validate(self) -> None:
-        if self.protocol not in self._ALLOWED:
+        """Reject an unknown protocol and any param its protocol function does not take."""
+        if self.protocol not in _PROTOCOLS:
             raise ProtocolError(f"protocol must be 1..5, got {self.protocol}")
-        extra = set(self.params) - self._ALLOWED[self.protocol]
+        extra = set(self.params) - set(inspect.getfullargspec(_PROTOCOLS[self.protocol]).kwonlyargs)
         if extra:
             raise ProtocolError(f"protocol {self.protocol} does not take params {sorted(extra)}")
 
@@ -360,16 +358,27 @@ def _subjects_ascending(records: list[ManifestRecord]) -> list[int]:
     return sorted({r.subject_id for r in records})
 
 
-def _prefix_subjects(subjects: list[int], fraction: float) -> set[int]:
-    # whole subjects only, rounding down
-    count = int(len(subjects) * fraction + 1e-9)
-    return set(subjects[:count])
+def _subject_prefix(pool: list[ManifestRecord], name: str, fraction) -> tuple[list, list]:
+    """The records of the first `fraction` of `pool`'s subjects, and the rest.
+
+    `fraction` must be a real number in (0, 1], and a bool is not one. It
+    must select at least one whole subject, counted in ascending id order
+    and rounding down.
+    """
+    # NaN fails the range test too
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real) or not 0 < fraction <= 1:
+        raise ProtocolError(f"{name} must be a real number in (0, 1], got {fraction!r}")
+    subjects = _subjects_ascending(pool)
+    chosen = set(subjects[: int(len(subjects) * float(fraction) + 1e-9)])
+    if not chosen:
+        raise ProtocolError(f"{name} {fraction} selects zero subjects out of {len(subjects)} in {_dataset_ids(pool)}")
+    return [r for r in pool if r.subject_id in chosen], [r for r in pool if r.subject_id not in chosen]
 
 
 def _carve_dev(labeled: list[ManifestRecord]) -> tuple[list[ManifestRecord], list[ManifestRecord]]:
     """Move the last 20% of labeled subjects (per dataset) into the dev list."""
     dev_subjects: set[tuple[str, int]] = set()
-    for dataset in sorted({r.dataset_id for r in labeled}):
+    for dataset in _dataset_ids(labeled):
         subjects = _subjects_ascending([r for r in labeled if r.dataset_id == dataset])
         n_dev = int(len(subjects) * DEV_SUBJECT_FRACTION + 1e-9)
         dev_subjects.update((dataset, s) for s in (subjects[len(subjects) - n_dev :] if n_dev else []))
@@ -378,123 +387,95 @@ def _carve_dev(labeled: list[ManifestRecord]) -> tuple[list[ManifestRecord], lis
     return train, dev
 
 
+def _dataset_ids(records: list[ManifestRecord]) -> list[str]:
+    return sorted({r.dataset_id for r in records})
+
+
 def _require_single_dataset(records: list[ManifestRecord], protocol: int) -> None:
-    datasets = {r.dataset_id for r in records}
+    datasets = _dataset_ids(records)
     if len(datasets) != 1:
-        raise ProtocolError(f"protocol {protocol} expects a single dataset_id, found {sorted(datasets)}")
+        raise ProtocolError(f"protocol {protocol} expects a single dataset_id, found {datasets}")
 
 
-def _require_sessions(records: list[ManifestRecord], protocol: int) -> None:
+def _by_session(records: list[ManifestRecord], protocol: int) -> tuple[list, list]:
+    """The train-session records and the test-session records of one dataset."""
+    _require_single_dataset(records, protocol)
     sessions = {r.session for r in records}
     needed = set(TRAIN_SESSIONS) | {TEST_SESSION}
     if not needed <= sessions:
         raise ProtocolError(f"protocol {protocol} needs sessions {sorted(needed)}, manifest has {sorted(sessions)}")
+    return [r for r in records if r.session in TRAIN_SESSIONS], [r for r in records if r.session == TEST_SESSION]
 
 
-def _split_protocol_1(records, spec):
-    _require_single_dataset(records, 1)
-    _require_sessions(records, 1)
-    fraction = float(spec.params.get("label_fraction", 1.0))
-    if not 0 < fraction <= 1:
-        raise ProtocolError(f"label_fraction must be in (0, 1], got {fraction}")
-    train_pool = [r for r in records if r.session in TRAIN_SESSIONS]
-    test = [r for r in records if r.session == TEST_SESSION]
-    subjects = _subjects_ascending(train_pool)
-    labeled_subjects = _prefix_subjects(subjects, fraction)
-    if not labeled_subjects:
-        raise ProtocolError(f"label fraction {fraction} selects zero subjects out of {len(subjects)}")
-    labeled = [r for r in train_pool if r.subject_id in labeled_subjects]
-    unlabeled = [r for r in train_pool if r.subject_id not in labeled_subjects]
-    labeled_train, dev = _carve_dev(labeled)
-    return SplitResult(labeled_train, unlabeled, dev, test)
+def _cross_dataset_ids(records: list[ManifestRecord], protocol: int) -> list[str]:
+    datasets = _dataset_ids(records)
+    if len(datasets) < 3:
+        raise ProtocolError(f"protocol {protocol} needs at least 3 dataset_ids, found {datasets}")
+    return datasets
 
 
-def _split_protocol_2(records, spec):
-    _require_single_dataset(records, 2)
-    _require_sessions(records, 2)
-    mode = spec.params.get("extra_mode", "none")
-    if mode not in ("none", "live_only_p", "live_spoof_p"):
-        raise ProtocolError(f"extra_mode must be none|live_only_p|live_spoof_p, got {mode!r}")
-    train_pool = [r for r in records if r.session in TRAIN_SESSIONS]
-    extra_pool = [r for r in records if r.session == TEST_SESSION]
-    labeled_train, dev = _carve_dev(train_pool)
-    if mode == "none":
-        return SplitResult(labeled_train, [], dev, extra_pool)
-    fraction = float(spec.params.get("extra_fraction", 0.5))
-    if not 0 < fraction <= 1:
-        raise ProtocolError(f"extra_fraction must be in (0, 1], got {fraction}")
+def _pick_test_dataset(datasets: list[str], test_dataset, unlabeled_dataset=None) -> str:
+    """`test_dataset` if given, else the last dataset id other than the unlabeled one."""
+    if test_dataset is None:
+        return [d for d in datasets if d != unlabeled_dataset][-1]
+    if test_dataset not in datasets:
+        raise ProtocolError(f"test_dataset {test_dataset!r} not in manifest datasets {datasets}")
+    if test_dataset == unlabeled_dataset:
+        raise ProtocolError(f"test_dataset {test_dataset!r} collides with the unlabeled dataset")
+    return test_dataset
+
+
+def _protocol_1(records, *, label_fraction=1.0):
+    train_pool, test = _by_session(records, 1)
+    return (*_subject_prefix(train_pool, "label_fraction", label_fraction), test)
+
+
+def _protocol_2(records, *, extra_mode="none", extra_fraction=None):
+    # extra_fraction defaults to 0.5 and only applies with a mode
+    train_pool, extra_pool = _by_session(records, 2)
+    if extra_mode not in ("none", "live_only_p", "live_spoof_p"):
+        raise ProtocolError(f"extra_mode must be none|live_only_p|live_spoof_p, got {extra_mode!r}")
+    if extra_mode == "none":
+        if extra_fraction is not None:
+            raise ProtocolError(f"extra_fraction {extra_fraction!r} needs extra_mode live_only_p or live_spoof_p")
+        return train_pool, [], extra_pool
     # the same ascending-id subject prefix applies to both label classes
-    source = extra_pool if mode == "live_spoof_p" else [r for r in extra_pool if r.label == "live"]
-    chosen_subjects = _prefix_subjects(_subjects_ascending(source), fraction)
-    unlabeled = [r for r in source if r.subject_id in chosen_subjects]
-    unlabeled_keys = {(r.dataset_id, r.path) for r in unlabeled}
-    test = [r for r in extra_pool if (r.dataset_id, r.path) not in unlabeled_keys]
-    return SplitResult(labeled_train, unlabeled, dev, test)
+    source = extra_pool if extra_mode == "live_spoof_p" else [r for r in extra_pool if r.label == "live"]
+    unlabeled, _ = _subject_prefix(source, "extra_fraction", 0.5 if extra_fraction is None else extra_fraction)
+    drawn = set(unlabeled)
+    return train_pool, unlabeled, [r for r in extra_pool if r not in drawn]
 
 
-def _dataset_ids(records):
-    return sorted({r.dataset_id for r in records})
+def _protocol_3(records, *, unlabeled_dataset=None, test_dataset=None):
+    datasets = _cross_dataset_ids(records, 3)
+    if unlabeled_dataset not in datasets:
+        raise ProtocolError(f"unlabeled_dataset must name one of {datasets}, got {unlabeled_dataset!r}")
+    test_dataset = _pick_test_dataset(datasets, test_dataset, unlabeled_dataset)
+    return (
+        [r for r in records if r.dataset_id not in (unlabeled_dataset, test_dataset)],
+        [r for r in records if r.dataset_id == unlabeled_dataset],
+        [r for r in records if r.dataset_id == test_dataset],
+    )
 
 
-def _pick_test_dataset(datasets: list[str], spec, exclude: set[str]) -> str:
-    explicit = spec.params.get("test_dataset")
-    if explicit is not None:
-        if explicit not in datasets:
-            raise ProtocolError(f"test_dataset {explicit!r} not in manifest datasets {datasets}")
-        if explicit in exclude:
-            raise ProtocolError(f"test_dataset {explicit!r} collides with the unlabeled dataset")
-        return explicit
-    remaining = [d for d in datasets if d not in exclude]
-    return remaining[-1]
-
-
-def _split_protocol_3(records, spec):
-    datasets = _dataset_ids(records)
-    if len(datasets) < 3:
-        raise ProtocolError(f"protocol 3 needs at least 3 dataset_ids, found {datasets}")
-    unlabeled_ds = spec.params.get("unlabeled_dataset")
-    if unlabeled_ds is None or unlabeled_ds not in datasets:
-        raise ProtocolError(f"unlabeled_dataset must name one of {datasets}, got {unlabeled_ds!r}")
-    test_ds = _pick_test_dataset(datasets, spec, {unlabeled_ds})
-    labeled = [r for r in records if r.dataset_id not in (unlabeled_ds, test_ds)]
-    if not labeled:
-        raise ProtocolError("protocol 3 leaves no labeled dataset")
-    unlabeled = [r for r in records if r.dataset_id == unlabeled_ds]
-    test = [r for r in records if r.dataset_id == test_ds]
-    labeled_train, dev = _carve_dev(labeled)
-    return SplitResult(labeled_train, unlabeled, dev, test)
-
-
-def _split_protocol_4(records, spec):
-    datasets = _dataset_ids(records)
-    if len(datasets) < 3:
-        raise ProtocolError(f"protocol 4 needs at least 3 dataset_ids, found {datasets}")
-    fraction = float(spec.params.get("label_fraction", 1.0))
-    if not 0 < fraction <= 1:
-        raise ProtocolError(f"label_fraction must be in (0, 1], got {fraction}")
-    test_ds = _pick_test_dataset(datasets, spec, set())
+def _protocol_4(records, *, label_fraction=1.0, test_dataset=None):
+    datasets = _cross_dataset_ids(records, 4)
+    test_dataset = _pick_test_dataset(datasets, test_dataset)
     labeled, unlabeled = [], []
     for dataset in datasets:
-        if dataset == test_ds:
-            continue
-        pool = [r for r in records if r.dataset_id == dataset]
-        chosen = _prefix_subjects(_subjects_ascending(pool), fraction)
-        if not chosen:
-            raise ProtocolError(f"label fraction {fraction} selects zero subjects in dataset {dataset}")
-        labeled.extend(r for r in pool if r.subject_id in chosen)
-        unlabeled.extend(r for r in pool if r.subject_id not in chosen)
-    test = [r for r in records if r.dataset_id == test_ds]
-    labeled_train, dev = _carve_dev(labeled)
-    return SplitResult(labeled_train, unlabeled, dev, test)
+        if dataset != test_dataset:
+            pool = [r for r in records if r.dataset_id == dataset]
+            chosen, rest = _subject_prefix(pool, "label_fraction", label_fraction)
+            labeled += chosen
+            unlabeled += rest
+    return labeled, unlabeled, [r for r in records if r.dataset_id == test_dataset]
 
 
-def _split_protocol_5(records, spec):
+def _protocol_5(records, *, unlabeled_attack=None, test_attack=None):
     _require_single_dataset(records, 5)
     attacks = sorted({r.attack_type for r in records if r.attack_type != "none"})
     if len(attacks) < 7:
         raise ProtocolError(f"protocol 5 needs at least 7 attack types, found {len(attacks)}: {attacks}")
-    unlabeled_attack = spec.params.get("unlabeled_attack")
-    test_attack = spec.params.get("test_attack")
     for name, value in (("unlabeled_attack", unlabeled_attack), ("test_attack", test_attack)):
         if value not in attacks:
             raise ProtocolError(f"{name} must be one of {attacks}, got {value!r}")
@@ -518,17 +499,10 @@ def _split_protocol_5(records, spec):
             # labeled-type attacks of test subjects are not drawn
         else:
             labeled.append(r)
-    labeled_train, dev = _carve_dev(labeled)
-    return SplitResult(labeled_train, unlabeled, dev, test)
+    return labeled, unlabeled, test
 
 
-_PROTOCOLS = {
-    1: _split_protocol_1,
-    2: _split_protocol_2,
-    3: _split_protocol_3,
-    4: _split_protocol_4,
-    5: _split_protocol_5,
-}
+_PROTOCOLS = {1: _protocol_1, 2: _protocol_2, 3: _protocol_3, 4: _protocol_4, 5: _protocol_5}
 
 
 def split(records: list[ManifestRecord], spec: SplitSpec) -> SplitResult:
@@ -536,7 +510,9 @@ def split(records: list[ManifestRecord], spec: SplitSpec) -> SplitResult:
     spec.validate()
     if not records:
         raise ProtocolError("empty manifest")
-    return _PROTOCOLS[spec.protocol](records, spec)
+    labeled, unlabeled, test = _PROTOCOLS[spec.protocol](records, **spec.params)
+    labeled_train, dev = _carve_dev(labeled)
+    return SplitResult(labeled_train, unlabeled, dev, test)
 
 
 # the manifest file of each list in a split directory

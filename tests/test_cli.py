@@ -132,6 +132,44 @@ def test_split_counts_satisfy_partition(tmp_path, capsys):
     assert len(keys) == total
 
 
+@pytest.fixture(scope="module")
+def split_manifests(tmp_path_factory):
+    """One single-dataset manifest with all seven attack types, one with three datasets."""
+    root = tmp_path_factory.mktemp("manifests")
+    assert run(["synth", "--out", str(root / "one"), "--subjects", "5", "--side", "8",
+                "--attacks", "print,replay,flexiblemask,papermask,rigidmask,fakehead,glasses"]) == 0
+    assert run(["synth", "--out", str(root / "many"), "--subjects", "5", "--side", "8", "--datasets", "dA,dB,dC"]) == 0
+    return {"one": root / "one" / "manifest.txt", "many": root / "many" / "manifest.txt"}
+
+
+@pytest.mark.parametrize(
+    "protocol, manifest, flags, params",
+    [
+        (1, "one", ["--labeled-pct", "40"], {"label_fraction": 0.4}),
+        (2, "one", ["--extra-mode", "live_only_p", "--extra-pct", "40"],
+         {"extra_mode": "live_only_p", "extra_fraction": 0.4}),
+        (3, "many", ["--unlabeled-dataset", "dA", "--test-dataset", "dB"],
+         {"unlabeled_dataset": "dA", "test_dataset": "dB"}),
+        (4, "many", ["--labeled-pct", "60", "--test-dataset", "dA"], {"label_fraction": 0.6, "test_dataset": "dA"}),
+        (5, "one", ["--unlabeled-attack", "papermask", "--test-attack", "glasses"],
+         {"unlabeled_attack": "papermask", "test_attack": "glasses"}),
+    ],
+    ids=["p1", "p2", "p3", "p4", "p5"],
+)
+def test_split_flags_set_protocol_params(split_manifests, protocol, manifest, flags, params, tmp_path, capsys):
+    out = tmp_path / "split"
+    assert run(["split", "--manifest", str(split_manifests[manifest]), "--protocol", str(protocol),
+                "--out", str(out), *flags]) == 0
+    assert json.loads((out / "split_config.json").read_text()) == {"protocol": protocol, "params": params}
+    lists = [read_manifest(out / f"{name}.txt") for name in ("labeled.train", "unlabeled.train", "dev", "test")]
+    drawn = [(r.dataset_id, r.path) for records in lists for r in records]
+    records = read_manifest(split_manifests[manifest])
+    if protocol == 5:
+        # the test subject (the last of 5) keeps only its live and test-attack records
+        records = [r for r in records if r.subject_id != 5 or r.attack_type in ("none", "papermask", "glasses")]
+    assert sorted(drawn) == sorted((r.dataset_id, r.path) for r in records)
+
+
 def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsys):
     data_dir, split_dir, train_dir = tmp_path / "data", tmp_path / "split", tmp_path / "train"
     assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0

@@ -299,6 +299,17 @@ class TestProtocol2:
         assert {r.subject_id for r in result.unlabeled_train} == {1, 2, 3, 4, 5}
         assert_partition(result, records)
 
+    @pytest.mark.parametrize("mode", [{}, {"extra_mode": "none"}], ids=["omitted", "none"])
+    def test_fraction_without_mode_rejected(self, mode):
+        # without a mode no session-3 data joins unlabeled, so the fraction would be ignored
+        with pytest.raises(ProtocolError, match="extra_mode"):
+            split(make_records(range(1, 11)), SplitSpec(2, {**mode, "extra_fraction": 0.4}))
+
+    @pytest.mark.parametrize("mode", ["live_only_p", "live_spoof_p"])
+    def test_zero_subjects_rejected(self, mode):
+        with pytest.raises(ProtocolError, match="zero"):
+            split(make_records(range(1, 11)), SplitSpec(2, {"extra_mode": mode, "extra_fraction": 0.05}))
+
 
 class TestProtocol3:
     def test_leave_one_unlabeled(self):
@@ -392,6 +403,20 @@ class TestSpecValidation:
     def test_foreign_params_rejected(self):
         with pytest.raises(ProtocolError, match="does not take"):
             split(make_records([1]), SplitSpec(1, {"unlabeled_attack": "print"}))
+
+    @pytest.mark.parametrize("value", [True, "0.5", math.nan, 0.0, 1.5])
+    @pytest.mark.parametrize(
+        "protocol, params",
+        [(1, {}), (2, {"extra_mode": "live_only_p"}), (4, {"test_dataset": "dC"})],
+        ids=["p1", "p2", "p4"],
+    )
+    def test_fraction_must_be_a_real_number_in_range(self, protocol, params, value):
+        records = sum((make_records(range(1, 11), dataset=d) for d in ("dA", "dB", "dC")), [])
+        name = "extra_fraction" if protocol == 2 else "label_fraction"
+        if protocol != 4:
+            records = [r for r in records if r.dataset_id == "dA"]
+        with pytest.raises(ProtocolError, match=f"{name} must be a real number"):
+            split(records, SplitSpec(protocol, {**params, name: value}))
 
     def test_write_split_emits_four_manifests(self, tmp_path):
         records = make_records(range(1, 11))
