@@ -96,9 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", required=True, type=Path)
 
-    p = sub.add_parser("gradcheck", help="finite differences vs reverse-mode on the full loss")
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    # no abbreviations, so that `--h` is rejected rather than read as `--help`
+    p = sub.add_parser("gradcheck", help="finite differences vs reverse-mode on the full loss", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords", type=_positive_int, default=24, help="random coordinates checked per parameter")
 
@@ -141,7 +140,7 @@ def _cmd_train(args) -> int:
     if args.supervised_only:
         split_result.unlabeled_train = []
     model = build_model(config.model, config.seed)
-    batches = trainer.training_batches(split_result, config, args.data_root, trainer.dtype_tag(model))
+    batches = trainer.training_batches(split_result, config, args.data_root, model.dtype)
     if args.dump_views:
         args.out.mkdir(parents=True, exist_ok=True)
         x1, x2, _, _ = first = next(batches)
@@ -193,8 +192,7 @@ def _cmd_gradcheck(args) -> int:
         _, total = losses.loss_overall(views, labels, mask, alpha=0.1)
         return total
 
-    report = grad_check(loss_fn, dict(model.named_params()), h=args.h, tol=args.tol,
-                        max_coords_per_param=args.coords, seed=args.seed)
+    report = grad_check(loss_fn, dict(model.named_params()), max_coords_per_param=args.coords, seed=args.seed)
     for line in report.format_lines():
         print(line)
     return 0 if report.passed else 1

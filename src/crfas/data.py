@@ -30,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import DTYPES
-
 ATTACK_TYPES = ("none", "print", "replay", "flexiblemask", "papermask", "rigidmask", "fakehead", "glasses")
 
 # distinct texture per attack type: stripe cycles across the image and
@@ -144,10 +142,10 @@ def read_image(path: Path) -> np.ndarray:
     return np.frombuffer(raw[12:], dtype=np.uint8).reshape(h, w, 3)
 
 
-def load_image(record: ManifestRecord, root: Path, dtype: str = "f32") -> np.ndarray:
-    """Load one record's pixels as an (H, W, 3) array scaled to [0, 1]."""
+def load_image(record: ManifestRecord, root: Path, dtype=np.float32) -> np.ndarray:
+    """Load one record's pixels as an (H, W, 3) array of numpy float type `dtype`, scaled to [0, 1]."""
     pixels = read_image(Path(root) / record.path)
-    return pixels.astype(DTYPES[dtype]) / DTYPES[dtype](255.0)
+    return pixels.astype(dtype) / dtype(255.0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +504,13 @@ _PROTOCOLS = {1: _protocol_1, 2: _protocol_2, 3: _protocol_3, 4: _protocol_4, 5:
 
 
 def split(records: list[ManifestRecord], spec: SplitSpec) -> SplitResult:
-    """Partition a manifest according to one of the five protocols."""
+    """Partition a manifest according to one of the five protocols; one that labels no record is rejected."""
     spec.validate()
     if not records:
         raise ProtocolError("empty manifest")
     labeled, unlabeled, test = _PROTOCOLS[spec.protocol](records, **spec.params)
+    if not labeled:
+        raise ProtocolError(f"protocol {spec.protocol} labels no record of this manifest")
     labeled_train, dev = _carve_dev(labeled)
     return SplitResult(labeled_train, unlabeled, dev, test)
 

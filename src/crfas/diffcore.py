@@ -300,46 +300,26 @@ def l2_normalize(a: Tensor) -> Tensor:
     return _taped(out, "l2_normalize", (a,), bwd)
 
 
-class _StopGradFreezer:
-    """Capture/replay support for finite-difference checks.
-
-    The tape gradient of a graph containing stop-gradient is the partial
-    derivative holding the detached values fixed, not the total derivative
-    of the evaluated function. To compare against it, finite differences
-    must re-evaluate the loss with the detached values frozen at the base
-    point; this object records them in call order and replays them.
-    """
-
-    def __init__(self):
-        self.mode = "capture"
-        self.values: list[np.ndarray] = []
-        self.cursor = 0
-
-    def rewind(self):
-        self.mode = "replay"
-        self.cursor = 0
-
-    def take(self, data: np.ndarray) -> np.ndarray:
-        if self.mode == "capture":
-            # copy: the checker perturbs parameter buffers in place, and the
-            # frozen values must keep the base point
-            self.values.append(data.copy())
-            return data
-        if self.cursor >= len(self.values):
-            raise StateError("stop_gradient call count changed between evaluations; loss function is not deterministic")
-        value = self.values[self.cursor]
-        self.cursor += 1
-        return value
-
-
-_SG_FREEZER: _StopGradFreezer | None = None
+# detached values while `grad_check` runs: a list that the base point fills,
+# then an iterator over it that each perturbed evaluation replays; else None
+_FROZEN = None
 
 
 def stop_gradient(a: Tensor) -> Tensor:
-    """Pass values through unchanged; no gradient flows back into `a`."""
-    if _SG_FREEZER is not None:
-        return Tensor(_SG_FREEZER.take(a.data), requires_grad=False)
-    return Tensor(a.data, requires_grad=False)
+    """Pass values through unchanged; no gradient flows back into `a`.
+
+    Inside `grad_check` the base point's values are kept (copied, as the
+    checker perturbs parameters in place) and handed back to the perturbed
+    evaluations, so finite differences hold them fixed as the tape does.
+    """
+    if isinstance(_FROZEN, list):
+        _FROZEN.append(a.data.copy())
+    elif _FROZEN is not None:
+        value = next(_FROZEN, None)
+        if value is None:
+            raise StateError("stop_gradient call count changed between evaluations; loss function is not deterministic")
+        return Tensor(value)
+    return Tensor(a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -630,41 +610,43 @@ def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: BNState) 
 # gradient checking
 
 
+# Relative-error denominator floor; below this scale the comparison is
+# effectively absolute, which keeps finite-difference roundoff (~1e-11 at
+# h=1e-5, f64) far away from the pass threshold.
+_REL_FLOOR = 1e-4
+# the finite-difference step and the pass bound on the max relative error
+GRADCHECK_H = 1e-5
+GRADCHECK_TOL = 1e-4
+
+
 @dataclass
 class GradCheckReport:
     """Result of comparing tape gradients against central finite differences."""
 
-    max_rel_err: float
-    tol: float
-    h: float
     n_checked: int
-    worst: tuple[str, int, float, float] | None
     per_param: dict[str, float] = field(default_factory=dict)
 
     @property
+    def max_rel_err(self) -> float:
+        return max(self.per_param.values(), default=0.0)
+
+    @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < GRADCHECK_TOL
 
     def format_lines(self) -> list[str]:
         lines = [f"{name}: max rel err {err:.3e}" for name, err in self.per_param.items()]
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(
-            f"{verdict}: {self.n_checked} coordinates, h={self.h:g}, max rel err {self.max_rel_err:.3e} (tol {self.tol:g})"
+            f"{verdict}: {self.n_checked} coordinates, h={GRADCHECK_H:g}, "
+            f"max rel err {self.max_rel_err:.3e} (tol {GRADCHECK_TOL:g})"
         )
         return lines
-
-
-# Relative-error denominator floor; below this scale the comparison is
-# effectively absolute, which keeps finite-difference roundoff (~1e-11 at
-# h=1e-5, f64) far away from the pass threshold.
-_REL_FLOOR = 1e-4
 
 
 def grad_check(
     loss_fn: Callable[[], Tensor],
     params: dict[str, Tensor],
-    h: float = 1e-5,
-    tol: float = 1e-4,
     max_coords_per_param: int | None = None,
     seed: int = 0,
 ) -> GradCheckReport:
@@ -673,55 +655,37 @@ def grad_check(
     Args:
         loss_fn: deterministic closure over `params` returning a scalar Tensor.
         params: named f64 parameter tensors to perturb.
-        h: finite-difference step.
-        tol: pass threshold on the max relative error.
         max_coords_per_param: if set, check a random subset of coordinates
             per parameter instead of all of them.
         seed: seed for coordinate sampling.
 
-    The relative error per coordinate is |a - n| / max(|a|, |n|, 1e-4).
+    Each coordinate is stepped by +-GRADCHECK_H, and the report passes when
+    every relative error |a - n| / max(|a|, |n|, 1e-4) is below
+    GRADCHECK_TOL. Values passed through `stop_gradient` stay at the base
+    point, so the differences estimate the same partial derivative the tape
+    computes; a perturbed evaluation that calls `stop_gradient` more often
+    than the base point did raises StateError.
     """
-    global _SG_FREEZER
+    global _FROZEN
     for name, p in params.items():
         if p.dtype != np.float64:
             raise ValueError(f"grad_check requires f64 parameters, {name} is {p.dtype}")
 
-    # detached values are captured at the base point and replayed during
-    # perturbed evaluations, so the differences estimate the same partial
-    # derivative the tape computes
-    _SG_FREEZER = _StopGradFreezer()
+    rng = np.random.default_rng(seed)
+    n_checked = 0
+    per_param: dict[str, float] = {}
+    frozen: list[np.ndarray] = []
+    _FROZEN = frozen
     try:
         with Tape() as tape:
             loss = loss_fn()
-            if loss.data.shape != ():
-                raise ShapeError("grad_check loss must be scalar")
-            if not np.isfinite(loss.data):
-                raise FloatingPointError("grad_check: non-finite loss")
             for p in params.values():
                 p.zero_grad()
             tape.backward(loss)
-        analytic = {name: p.grad.copy() for name, p in params.items()}
-    except BaseException:
-        _SG_FREEZER = None
-        raise
 
-    rng = np.random.default_rng(seed)
-    max_rel = 0.0
-    worst = None
-    n_checked = 0
-    per_param: dict[str, float] = {}
-
-    def frozen_eval() -> float:
-        _SG_FREEZER.rewind()
-        value = loss_fn().data
-        if not np.isfinite(value):
-            raise FloatingPointError("grad_check: non-finite loss during perturbation")
-        return float(value)
-
-    try:
         for name, p in params.items():
             flat = p.data.reshape(-1)
-            grad_flat = analytic[name].reshape(-1)
+            grad_flat = p.grad.reshape(-1)
             if max_coords_per_param is not None and flat.size > max_coords_per_param:
                 coords = np.sort(rng.choice(flat.size, size=max_coords_per_param, replace=False))
             else:
@@ -729,20 +693,19 @@ def grad_check(
             local_max = 0.0
             for i in coords:
                 orig = flat[i]
-                flat[i] = orig + h
-                f_plus = frozen_eval()
-                flat[i] = orig - h
-                f_minus = frozen_eval()
+                values = []
+                for step in (GRADCHECK_H, -GRADCHECK_H):
+                    flat[i] = orig + step
+                    _FROZEN = iter(frozen)
+                    values.append(float(loss_fn().data))
+                    if not np.isfinite(values[-1]):
+                        raise FloatingPointError("grad_check: non-finite loss during perturbation")
                 flat[i] = orig
-                numeric = (f_plus - f_minus) / (2 * h)
+                numeric = (values[0] - values[1]) / (2 * GRADCHECK_H)
                 a = float(grad_flat[i])
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
+                local_max = max(local_max, abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR))
                 n_checked += 1
-                local_max = max(local_max, rel)
-                if rel > max_rel:
-                    max_rel = rel
-                    worst = (name, int(i), a, numeric)
             per_param[name] = local_max
     finally:
-        _SG_FREEZER = None
-    return GradCheckReport(max_rel, tol, h, n_checked, worst, per_param)
+        _FROZEN = None
+    return GradCheckReport(n_checked, per_param)

@@ -168,12 +168,7 @@ def _batch_layout(split: SplitResult, config: TrainConfig) -> tuple[int, int, in
     return n_lab, config.batch_size - n_lab, max(1, math.ceil(len(split.labeled_train) / n_lab))
 
 
-def dtype_tag(model: SiameseDenseNet) -> str:
-    """The model's precision as an image-loading and checkpoint tag, "f32" or "f64"."""
-    return _DTYPE_TAGS[np.dtype(model.dtype)]
-
-
-def _model_image(record: ManifestRecord, data_root: Path, dtype: str, config: ModelConfig) -> np.ndarray:
+def _model_image(record: ManifestRecord, data_root: Path, dtype, config: ModelConfig) -> np.ndarray:
     """Load one record's image; it must have the model's input shape."""
     image = load_image(record, data_root, dtype)
     want = (config.input_size, config.input_size, config.in_channels)
@@ -182,10 +177,10 @@ def _model_image(record: ManifestRecord, data_root: Path, dtype: str, config: Mo
     return image
 
 
-def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, dtype: str):
+def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, dtype):
     """Yield the `(x1, x2, labels, mask)` batch of every training step, in order.
 
-    Each image is loaded once, at the model's precision `dtype` ("f32" or "f64").
+    Each image is loaded once, at the model's precision `dtype` (`model.dtype`).
     A batch holds its labeled rows, then its unlabeled rows. Each list's
     row order for the whole run is drawn up front by `_row_order`; with
     `k` rows of that list per batch, step `s` takes `order[s * k : (s + 1) * k]`.
@@ -239,7 +234,7 @@ def fit(
     (out_dir / "config.json").write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
 
     if batches is None:
-        batches = training_batches(split, config, data_root, dtype_tag(model))
+        batches = training_batches(split, config, data_root, model.dtype)
     optimizer = MomentumSGD(model.named_params())
     checkpoint = out_dir / "checkpoint.ckpt"
     with open(out_dir / "train.log", "w") as log:
@@ -370,10 +365,9 @@ SCORE_BATCH = 32
 def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_root: Path) -> list[ScoredSample]:
     """Score records through the encoder -> classifier path, no augmentation."""
     samples = []
-    tag = dtype_tag(model)
     for start in range(0, len(records), SCORE_BATCH):
         chunk = records[start : start + SCORE_BATCH]
-        x = Tensor(np.stack([_model_image(r, data_root, tag, model.config) for r in chunk]))
+        x = Tensor(np.stack([_model_image(r, data_root, model.dtype, model.config) for r in chunk]))
         maps = model.classifier(model.encode(x))
         for r, m in zip(chunk, maps.data):
             samples.append(ScoredSample(score=float(m.mean()), label=r.label, attack_type=r.attack_type, path=r.path))

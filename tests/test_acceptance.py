@@ -142,7 +142,7 @@ def test_criterion_3_gradient_suite():
     worst = 0.0
     details = []
     for name, (params, fn) in _kernel_cases(rng).items():
-        report = grad_check(fn, params, h=1e-5, tol=1e-4)
+        report = grad_check(fn, params)
         worst = max(worst, report.max_rel_err)
         details.append(f"{name}={report.max_rel_err:.1e}")
 
@@ -158,7 +158,7 @@ def test_criterion_3_gradient_suite():
         _, total = losses.loss_overall(views, labels, mask, alpha=0.1)
         return total
 
-    report = grad_check(full_loss, dict(model.named_params()), h=1e-5, tol=1e-4)
+    report = grad_check(full_loss, dict(model.named_params()))
     worst = max(worst, report.max_rel_err)
     elapsed = time.time() - start
     _report(

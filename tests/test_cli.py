@@ -47,7 +47,16 @@ def test_python_dash_m_runs_the_cli():
 
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--coords", "4", "--seed", "1"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("PASS: ") and ", h=1e-05, max rel err " in last and last.endswith("(tol 0.0001)")
+
+
+@pytest.mark.parametrize("flag", [["--h", "0.1"], ["--tol", "10"]])
+def test_gradcheck_bound_is_not_a_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--coords", "4", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_one(capsys, tmp_path):

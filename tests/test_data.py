@@ -394,6 +394,12 @@ class TestProtocol5:
         with pytest.raises(ProtocolError, match="differ"):
             split(self.records(), SplitSpec(5, {"unlabeled_attack": "print", "test_attack": "print"}))
 
+    def test_single_subject_labels_nothing_and_is_rejected(self):
+        # the one subject is the test subject, so no live or labeled-type record is left to label
+        records = make_records([1], attacks=[a for a in ATTACK_TYPES if a != "none"])
+        with pytest.raises(ProtocolError, match="protocol 5 labels no record"):
+            split(records, SplitSpec(5, {"unlabeled_attack": "papermask", "test_attack": "glasses"}))
+
 
 class TestSpecValidation:
     def test_unknown_protocol(self):

@@ -486,6 +486,19 @@ class TestTapeAndGradCheck:
         with pytest.raises(FloatingPointError):
             grad_check(lambda: scale(bad, 1.0), {"bad": bad})
 
+    def test_more_stop_gradient_calls_when_perturbed_rejected(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        calls = []
+
+        def loss_fn():
+            calls.append(None)
+            # the base point detaches once, every perturbed evaluation twice
+            d = stop_gradient(p) if len(calls) == 1 else mul(stop_gradient(p), stop_gradient(p))
+            return sum_all(mul(d, p))
+
+        with pytest.raises(StateError, match="stop_gradient call count"):
+            grad_check(loss_fn, {"p": p})
+
     def test_f32_params_rejected(self):
         p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="f64"):
