@@ -260,6 +260,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must not repeat, got {list(values)}")
         if self.subjects < 1 or self.sessions < 1 or self.per_cell < 1 or self.side < 8:
             raise ValueError("counts must be positive and side >= 8")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, value in (("noise_std", self.noise_std), ("overlay_amp", self.overlay_amp)):
             if not 0 <= value < np.inf:  # NaN fails it too
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")

@@ -170,43 +170,15 @@ def loss_pred(cls_pred: Tensor, cls_emb: Tensor) -> Tensor:
     return mse_map(cls_pred, _other_view(cls_emb))
 
 
-def expand_label(y: int, side: int, dtype=np.float32) -> np.ndarray:
-    """Expand a binary label to a constant (1, side, side, 1) map.
-
-    Spoof samples (y=1) become all ones, live samples (y=0) all zeros.
-    """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 (live) or 1 (spoof), got {y!r}")
-    return np.full((1, side, side, 1), y, dtype=dtype)
-
-
-def labels_to_maps(labels: np.ndarray, side: int, dtype=np.float32) -> np.ndarray:
-    return np.concatenate([expand_label(int(y), side, dtype) for y in labels], axis=0)
-
-
-def loss_supervised(cls_emb: Tensor, targets: Tensor) -> Tensor:
-    """Pixel-wise supervision of encoder-path score maps against label maps.
-
-    Callers pass the labeled rows of view 1, then the same rows of view 2;
-    an empty batch is rejected.
-    """
-    if cls_emb.shape[0] == 0:
-        raise ShapeError("loss_supervised: no labeled samples in batch; callers must filter")
-    return mse_map(cls_emb, targets)
-
-
-def loss_overall(
-    views,
-    labels: np.ndarray | None,
-    labeled_mask: np.ndarray,
-    alpha: float = 0.1,
-) -> tuple[LossBundle, Tensor]:
+def loss_overall(views, labels: np.ndarray, alpha: float) -> tuple[LossBundle, Tensor]:
     """Combine the three terms: supervised + embedding + alpha * prediction.
 
-    `views` holds four 2N maps, view-1 rows first. `labeled_mask` marks
-    the N samples that carry labels; the supervised term is dropped
-    (contributes exactly 0) when no row is labeled. Returns the bundle of
-    float values and the scalar graph node.
+    `views` holds four 2N maps, view-1 rows first. `labels` holds one
+    label, 0 (live) or 1 (spoof), for each of the batch's first
+    `len(labels)` rows; the rest are unlabeled. The supervised term is
+    the MSE of those rows' `cls_emb` maps, in both views, against constant
+    label maps, and is exactly 0 when `labels` is empty. Returns the bundle
+    of float values and the scalar graph node.
     """
     counts = [t.shape[0] for t in (views.emb, views.pred, views.cls_emb, views.cls_pred)]
     n = counts[0] // 2
@@ -214,20 +186,20 @@ def loss_overall(
         raise ShapeError("loss_overall: empty batch")
     if counts != [2 * n] * 4:
         raise ShapeError(f"loss_overall: row counts {counts} do not pair into two views")
-    mask = np.asarray(labeled_mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ShapeError(f"labeled_mask shape {mask.shape} does not match batch {n}")
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or len(labels) > n:
+        raise ShapeError(f"loss_overall: labels of shape {labels.shape} do not fit a batch of {n}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"labels must be 0 (live) or 1 (spoof), got {sorted(set(labels.tolist()))}")
 
     l_emb = loss_embedd(views.pred, views.emb)
     l_prd = loss_pred(views.cls_pred, views.cls_emb)
 
-    idx = np.flatnonzero(mask)
-    if idx.size:
-        if labels is None or len(labels) != idx.size:
-            raise ValueError("loss_overall: labeled rows present but labels missing or miscounted")
-        side = views.cls_emb.shape[1]
-        targets = Tensor(labels_to_maps(np.tile(labels, 2), side, views.cls_emb.dtype))
-        l_sup = loss_supervised(gather_batch(views.cls_emb, np.concatenate([idx, idx + n])), targets)
+    k = len(labels)
+    if k:
+        labeled = gather_batch(views.cls_emb, np.r_[0:k, n : n + k])
+        targets = np.tile(labels, 2).astype(labeled.dtype).reshape(-1, 1, 1, 1)
+        l_sup = mse_map(labeled, Tensor(np.broadcast_to(targets, labeled.shape)))
     else:
         l_sup = Tensor(np.zeros((), dtype=views.cls_emb.dtype))
 

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError(f"labeled_fraction_per_batch must be in (0, 1], got {self.labeled_fraction_per_batch}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # written so that NaN fails it
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
@@ -115,21 +117,20 @@ def _retain_heap() -> None:
 
 def train_step(
     model: SiameseDenseNet,
-    batch: tuple[Tensor, Tensor, np.ndarray | None, np.ndarray],
+    batch: tuple[Tensor, Tensor, np.ndarray],
     config: TrainConfig,
     step: int,
-    total_steps: int,
+    lr: float,
     optimizer: MomentumSGD,
 ) -> losses.LossBundle:
-    """One optimization step: forward both views, one backward, SGD update."""
-    x1, x2, labels, labeled_mask = batch
+    """One SGD step at `lr` on a `training_batches` batch: forward both views, one backward, update."""
+    x1, x2, labels = batch
     if x1.shape[0] == 0:
         raise ValueError("empty batch")
-    lr = lr_at(step, total_steps, config)
     model.zero_grads()
     with Tape() as tape:
         views = model.forward_views(x1, x2)
-        bundle, total = losses.loss_overall(views, labels, labeled_mask, config.alpha)
+        bundle, total = losses.loss_overall(views, labels, config.alpha)
         if not math.isfinite(bundle.l_overall):
             raise FloatingPointError(f"non-finite loss at step {step}: {bundle}")
         tape.backward(total)
@@ -177,16 +178,17 @@ def _model_image(record: ManifestRecord, data_root: Path, dtype, config: ModelCo
     return image
 
 
-def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, dtype):
-    """Yield the `(x1, x2, labels, mask)` batch of every training step, in order.
+def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, dtype) -> Iterator:
+    """The `(x1, x2, labels)` batch of every training step, in order.
 
-    Each image is loaded once, at the model's precision `dtype` (`model.dtype`).
-    A batch holds its labeled rows, then its unlabeled rows. Each list's
-    row order for the whole run is drawn up front by `_row_order`; with
-    `k` rows of that list per batch, step `s` takes `order[s * k : (s + 1) * k]`.
-    The two views of the row at `position` in step `step` are keyed on the
-    epoch's seed and `step * batch_size + position`. `fit` trains on exactly
-    these batches, and `crfas train --dump-views` writes the first one.
+    The call loads each image once, at the model's precision `dtype`, and
+    draws each list's row order for the run by `_row_order`; batches then
+    come lazily. A batch holds its labeled rows, then its unlabeled rows, and
+    `labels` one 0 (live) or 1 (spoof) per labeled row. With `k` rows of a
+    list per batch, step `s` takes `order[s * k : (s + 1) * k]`. The two views
+    of the row at `position` in step `step` are keyed on the epoch's seed and
+    `step * batch_size + position`. `fit` trains on exactly these batches,
+    and `crfas train --dump-views` writes the first one.
     """
     n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
     labeled, unlabeled = split.labeled_train, split.unlabeled_train
@@ -196,15 +198,18 @@ def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, d
     total_steps = config.epochs * steps_per_epoch
     lab_order = _row_order(len(labeled), total_steps * n_lab, (config.seed, 1))
     unl_order = _row_order(len(unlabeled), total_steps * n_unl, (config.seed, 2))
-    for step in range(total_steps):
+
+    def batch(step: int):
         view_seed = _epoch_seed(config.seed, step // steps_per_epoch)
         first_id = step * config.batch_size
         rows = [labeled[i] for i in lab_order[step * n_lab : (step + 1) * n_lab]]
         rows += [unlabeled[i] for i in unl_order[step * n_unl : (step + 1) * n_unl]]
-        batch = np.stack([images[(r.dataset_id, r.path)] for r in rows])
-        x1, x2 = compose_views(batch, config.augment, view_seed, range(first_id, first_id + len(rows)))
+        stacked = np.stack([images[(r.dataset_id, r.path)] for r in rows])
+        x1, x2 = compose_views(stacked, config.augment, view_seed, range(first_id, first_id + len(rows)))
         labels = np.array([1 if r.label == "spoof" else 0 for r in rows[:n_lab]])
-        yield Tensor(x1), Tensor(x2), labels, np.arange(len(rows)) < n_lab
+        return Tensor(x1), Tensor(x2), labels
+
+    return map(batch, range(total_steps))
 
 
 def fit(
@@ -217,31 +222,32 @@ def fit(
 ) -> Path:
     """Train over the split at the model's precision; returns the checkpoint path.
 
-    Writes `config.json`, an append-only `train.log` with one loss line per
-    step, and `checkpoint.ckpt`, rewritten at the end of every epoch. On
-    glibc it first sets `mallopt` so freed step buffers stay in the heap
-    (see `_retain_heap`); the setting outlives the call.
+    Loads every image, then writes `config.json`, an append-only `train.log`
+    with one loss line per step, and `checkpoint.ckpt`, rewritten at the end
+    of every epoch. On glibc it first sets `mallopt` so freed step buffers
+    stay in the heap (see `_retain_heap`); the setting outlives the call.
     `batches` is the `training_batches` stream when the caller has already
     started it (`crfas train --dump-views` reads its first batch), so its
     images are not loaded a second time.
     """
     config.validate()
     _retain_heap()
+    if batches is None:
+        batches = training_batches(split, config, data_root, model.dtype)
     _, _, steps_per_epoch = _batch_layout(split, config)
     total_steps = config.epochs * steps_per_epoch
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
 
-    if batches is None:
-        batches = training_batches(split, config, data_root, model.dtype)
     optimizer = MomentumSGD(model.named_params())
     checkpoint = out_dir / "checkpoint.ckpt"
     with open(out_dir / "train.log", "w") as log:
         log.write(f"# config {json.dumps(to_dict(config), sort_keys=True)}\n")
         for step, batch in enumerate(batches):
-            bundle = train_step(model, batch, config, step, total_steps, optimizer)
-            log.write(_format_loss_line(step, bundle, lr_at(step, total_steps, config)) + "\n")
+            lr = lr_at(step, total_steps, config)
+            bundle = train_step(model, batch, config, step, lr, optimizer)
+            log.write(_format_loss_line(step, bundle, lr) + "\n")
             log.flush()
             if (step + 1) % steps_per_epoch == 0:
                 save_checkpoint(model, checkpoint)

@@ -151,11 +151,10 @@ def test_criterion_3_gradient_suite():
     x1 = Tensor(rng.random((2, 16, 16, 3)))
     x2 = Tensor(rng.random((2, 16, 16, 3)))
     labels = np.array([0, 1])
-    mask = np.array([True, True])
 
     def full_loss():
         views = model.forward_views(x1, x2)
-        _, total = losses.loss_overall(views, labels, mask, alpha=0.1)
+        _, total = losses.loss_overall(views, labels, alpha=0.1)
         return total
 
     report = grad_check(full_loss, dict(model.named_params()))
@@ -213,9 +212,8 @@ def test_criterion_5_view_swap_symmetry():
         views = ViewOutputs(**{name: Tensor(m) for name, m in maps.items()})
         swapped = ViewOutputs(**{name: Tensor(np.concatenate([m[n:], m[:n]])) for name, m in maps.items()})
         labels = np.array([1, 0])
-        mask = np.array([True, True, False])
-        bundle, _ = losses.loss_overall(views, labels, mask, 0.1)
-        swapped_bundle, _ = losses.loss_overall(swapped, labels, mask, 0.1)
+        bundle, _ = losses.loss_overall(views, labels, 0.1)
+        swapped_bundle, _ = losses.loss_overall(swapped, labels, 0.1)
         worst = max(
             worst,
             abs(bundle.l_embedd - swapped_bundle.l_embedd),

@@ -222,8 +222,8 @@ def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsy
     assert n_train == 36
     assert sorted(loads) == sorted(set(loads)) and len(loads) == n_train
 
-    x1, x2, _, mask = batches[0]
-    assert mask.tolist() == [True, True, False, False]
+    x1, x2, labels = batches[0]
+    assert len(labels) == 2
     for tag, views in (("view1", x1), ("view2", x2)):
         assert len(list(train_dir.glob(f"debug_{tag}_*.fimg"))) == 4
         for index, view in enumerate(views.data):

@@ -218,6 +218,11 @@ class TestSynth:
             generate_synthetic(SynthConfig(**{name: values}), tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_rejected_before_any_output(self, tmp_path):
+        with pytest.raises(ValueError, match="seed"):
+            generate_synthetic(SynthConfig(seed=-1), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("name", ["noise_std", "overlay_amp"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
     def test_bad_texture_knob_rejected_before_any_output(self, tmp_path, name, value):

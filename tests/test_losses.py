@@ -1,4 +1,6 @@
 """Objective-level tests: dense similarity, its decomposition, loss terms."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,15 +22,14 @@ from crfas.diffcore import (
 from crfas.losses import (
     DegenerateCenterError,
     dense_similarity,
-    expand_label,
     lemma_terms,
     loss_embedd,
     loss_overall,
     loss_pred,
-    loss_supervised,
     mse_map,
 )
 from crfas.model import ViewOutputs
+from crfas.trainer import TrainConfig
 
 
 def dense_similarity_double_loop(h, f, reduction="sum"):
@@ -81,15 +82,20 @@ def two_view_similarity(pred, target):
     return scale(sum_all(mul(sum_axis(rows_p, 1), sum_axis(rows_t, 1))), 1.0 / (n * (h * w) ** 2))
 
 
-def two_view_overall(views, labels, mask, alpha):
+def label_maps(labels, side, dtype=np.float64):
+    """One constant (side, side, 1) map per label, built one row at a time."""
+    return np.stack([np.full((side, side, 1), v, dtype=dtype) for v in labels])
+
+
+def two_view_overall(views, labels, alpha):
     """-1/2 (DS(p1, sg(e2)) + DS(p2, sg(e1))), 1/2 (MSE(cp1, ce2) + MSE(cp2, ce1)), 1/2 sup."""
     (p1, p2), (e1, e2) = halves(views.pred), halves(views.emb)
     (cp1, cp2), (ce1, ce2) = halves(views.cls_pred), halves(views.cls_emb)
     l_emb = scale(add(two_view_similarity(p1, e2), two_view_similarity(p2, e1)), -0.5)
     l_prd = scale(add(mse_map(cp1, ce2), mse_map(cp2, ce1)), 0.5)
-    idx = np.flatnonzero(mask)
+    idx = np.arange(len(labels))
     if idx.size:
-        y = Tensor(np.concatenate([expand_label(int(v), ce1.shape[1], ce1.dtype) for v in labels]))
+        y = Tensor(label_maps(labels, ce1.shape[1], ce1.dtype))
         l_sup = scale(add(mse_map(gather_batch(ce1, idx), y), mse_map(gather_batch(ce2, idx), y)), 0.5)
     else:
         l_sup = Tensor(np.zeros((), dtype=ce1.dtype))
@@ -308,48 +314,52 @@ class TestMseAndPred:
         assert loss_pred(cls_pred, cls_emb).item() == pytest.approx(want, rel=1e-12)
 
 
+def supervised(cls_emb1, cls_emb2, labels):
+    """The supervised term of a batch whose encoder-path maps are `cls_emb1`, then `cls_emb2`."""
+    views = random_views(np.random.default_rng(0), n=len(cls_emb1), s=cls_emb1.shape[1])
+    views = dataclasses.replace(views, cls_emb=Tensor(np.concatenate([cls_emb1, cls_emb2])))
+    return loss_overall(views, np.array(labels), alpha=0.1)[0].l_supervised
+
+
 class TestSupervised:
     def test_expand_label(self):
-        np.testing.assert_array_equal(expand_label(1, 8), np.ones((1, 8, 8, 1), dtype=np.float32))
-        np.testing.assert_array_equal(expand_label(0, 8), np.zeros((1, 8, 8, 1), dtype=np.float32))
-        assert mse_map(Tensor(expand_label(1, 4)), Tensor(expand_label(0, 4))).item() == 1.0
+        # spoof rows are held to all-ones maps, live rows to all-zero maps
+        ones, zeros = np.ones((1, 4, 4, 1)), np.zeros((1, 4, 4, 1))
+        assert supervised(ones, ones, [1]) == 0.0
+        assert supervised(zeros, zeros, [0]) == 0.0
+        assert supervised(ones, ones, [0]) == 1.0
+        assert supervised(zeros, zeros, [1]) == 1.0
 
     def test_expand_label_rejects_other_values(self):
+        views = random_views(np.random.default_rng(24), n=2)
+        with pytest.raises(ValueError, match="0 .live. or 1 .spoof."):
+            loss_overall(views, np.array([0, 2]), alpha=0.1)
         with pytest.raises(ValueError):
-            expand_label(2, 4)
+            loss_overall(views, np.array([-1]), alpha=0.1)
 
     def test_perfect_predictions(self):
-        y = np.concatenate([expand_label(1, 3), expand_label(0, 3)] * 2)
-        assert loss_supervised(Tensor(y.copy()), Tensor(y)).item() == 0.0
+        y = label_maps([1, 0], 3)
+        assert supervised(y, y.copy(), [1, 0]) == 0.0
 
     def test_half_offset(self):
-        y = expand_label(0, 3)
-        off = np.ones((1, 3, 3, 1), dtype=np.float32)
+        y = label_maps([0], 3)
         # view 1 exact, view 2 off by one everywhere
-        assert loss_supervised(Tensor(np.concatenate([y, off])), Tensor(np.concatenate([y, y]))).item() == (
-            pytest.approx(0.5)
-        )
-
-    def test_empty_batch_rejected(self):
-        empty = Tensor(np.zeros((0, 3, 3, 1)))
-        with pytest.raises(ShapeError, match="filter"):
-            loss_supervised(empty, empty)
+        assert supervised(y, np.ones_like(y), [0]) == pytest.approx(0.5)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((3, 2, 2, 1))
         b = rng.standard_normal((3, 2, 2, 1))
-        y = np.concatenate([expand_label(int(v), 2, np.float64) for v in (1, 0, 1)])
+        y = label_maps([1, 0, 1], 2)
         want = 0.5 * np.mean((a - y) ** 2) + 0.5 * np.mean((b - y) ** 2)
-        got = loss_supervised(Tensor(np.concatenate([a, b])), Tensor(np.concatenate([y, y]))).item()
-        assert got == pytest.approx(want, rel=1e-12)
+        assert supervised(a, b, [1, 0, 1]) == pytest.approx(want, rel=1e-12)
 
 
 class TestOverall:
     def test_all_unlabeled(self):
         rng = np.random.default_rng(17)
         views = random_views(rng)
-        bundle, _ = loss_overall(views, None, np.array([False, False]), alpha=0.1)
+        bundle, _ = loss_overall(views, np.array([], dtype=int), alpha=0.1)
         assert bundle.l_supervised == 0.0
         assert bundle.l_overall == pytest.approx(bundle.l_embedd + 0.1 * bundle.l_pred, rel=1e-12)
 
@@ -357,63 +367,65 @@ class TestOverall:
         rng = np.random.default_rng(18)
         views = random_views(rng, n=4)
         labels = np.array([1, 0])
-        mask = np.array([True, False, True, False])
-        bundle, _ = loss_overall(views, labels, mask, alpha=0.1)
+        bundle, _ = loss_overall(views, labels, alpha=0.1)
 
         l_emb = loss_embedd(views.pred, views.emb).item()
         l_prd = loss_pred(views.cls_pred, views.cls_emb).item()
-        y = np.concatenate([expand_label(int(v), 3, np.float64) for v in labels] * 2)
-        # samples 0 and 2 in view 1, then in view 2
-        l_sup = loss_supervised(Tensor(views.cls_emb.data[[0, 2, 4, 6]]), Tensor(y)).item()
+        y = label_maps(np.tile(labels, 2), 3)
+        # samples 0 and 1 in view 1, then in view 2
+        l_sup = mse_map(Tensor(views.cls_emb.data[[0, 1, 4, 5]]), Tensor(y)).item()
         assert bundle.l_embedd == pytest.approx(l_emb, rel=1e-12)
         assert bundle.l_pred == pytest.approx(l_prd, rel=1e-12)
         assert bundle.l_supervised == pytest.approx(l_sup, rel=1e-12)
         assert bundle.l_overall == pytest.approx(l_sup + l_emb + 0.1 * l_prd, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "mask", [[False] * 5, [True, False, True, True, False], [True] * 5], ids=["none", "mixed", "all"]
-    )
-    def test_matches_two_view_formulas(self, mask):
+    @pytest.mark.parametrize("n_labeled", [0, 3, 5], ids=["none", "mixed", "all"])
+    def test_matches_two_view_formulas(self, n_labeled):
         rng = np.random.default_rng(22)
-        mask = np.array(mask)
         for _ in range(5):
             views = random_views(rng, n=5)
-            labels = rng.integers(0, 2, mask.sum())
+            labels = rng.integers(0, 2, n_labeled)
 
             def fused():
-                bundle, total = loss_overall(views, labels, mask, alpha=0.3)
+                bundle, total = loss_overall(views, labels, alpha=0.3)
                 return (bundle.l_supervised, bundle.l_embedd, bundle.l_pred, bundle.l_overall), total
 
             got, got_grads = map_gradients(views, fused)
-            want, want_grads = map_gradients(views, lambda: two_view_overall(views, labels, mask, 0.3))
+            want, want_grads = map_gradients(views, lambda: two_view_overall(views, labels, 0.3))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             for g, w in zip(got_grads, want_grads):
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
             assert np.abs(got_grads[0]).max() == 0.0  # the embeddings stay detached
 
     def test_default_alpha(self):
-        rng = np.random.default_rng(19)
-        views = random_views(rng)
-        bundle, _ = loss_overall(views, None, np.array([False, False]))
-        assert bundle.l_overall == bundle.l_supervised + bundle.l_embedd + 0.1 * bundle.l_pred
+        # TrainConfig holds alpha's only default; loss_overall takes it from its caller
+        assert TrainConfig().alpha == 0.1
+        with pytest.raises(TypeError, match="alpha"):
+            loss_overall(random_views(np.random.default_rng(26)), np.array([0]))
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [[0], [1]]], ids=["too_many", "two_dim"])
+    def test_labels_that_do_not_fit_the_batch_rejected(self, labels):
+        views = random_views(np.random.default_rng(19), n=2)
+        with pytest.raises(ShapeError, match="labels"):
+            loss_overall(views, np.array(labels), alpha=0.1)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(20)
         views = random_views(rng, n=1)
         empty = ViewOutputs(**{k: Tensor(getattr(views, k).data[:0]) for k in views.__dataclass_fields__})
         with pytest.raises(ShapeError, match="empty"):
-            loss_overall(empty, None, np.array([]))
+            loss_overall(empty, np.array([], dtype=int), alpha=0.1)
 
     def test_unpaired_rows_rejected(self):
         rng = np.random.default_rng(23)
         views = random_views(rng, n=2)
         odd = ViewOutputs(**{k: Tensor(getattr(views, k).data[:3]) for k in views.__dataclass_fields__})
         with pytest.raises(ShapeError, match="pair"):
-            loss_overall(odd, None, np.array([False]))
+            loss_overall(odd, np.array([], dtype=int), alpha=0.1)
         uneven = ViewOutputs(emb=views.emb, pred=views.pred, cls_emb=views.cls_emb,
                              cls_pred=Tensor(views.cls_pred.data[:2]))
         with pytest.raises(ShapeError, match="pair"):
-            loss_overall(uneven, None, np.array([False, False]))
+            loss_overall(uneven, np.array([], dtype=int), alpha=0.1)
 
     def test_full_gradcheck_with_stopgrad(self):
         rng = np.random.default_rng(21)

@@ -57,9 +57,8 @@ def tiny_data(tmp_path_factory):
 def tiny_batch(rng, n=4, n_labeled=2, dtype=np.float32):
     x1 = Tensor(rng.random((n, 16, 16, 3)).astype(dtype))
     x2 = Tensor(rng.random((n, 16, 16, 3)).astype(dtype))
-    labels = np.array([i % 2 for i in range(n_labeled)])
-    mask = np.array([i < n_labeled for i in range(n)])
-    return x1, x2, labels, mask
+    labels = np.array([i % 2 for i in range(n_labeled)], dtype=int)
+    return x1, x2, labels
 
 
 class TestSchedule:
@@ -91,7 +90,7 @@ class TestTrainStep:
         rng = np.random.default_rng(0)
         before = {name: p.data.copy() for name, p in model.named_params()}
         optimizer = MomentumSGD(model.named_params())
-        train_step(model, tiny_batch(rng), config, 0, 10, optimizer)
+        train_step(model, tiny_batch(rng), config, 0, lr_at(0, 10, config), optimizer)
         for name, p in model.named_params():
             np.testing.assert_array_equal(p.data, before[name])
 
@@ -99,10 +98,10 @@ class TestTrainStep:
         model = build_model(TINY_MODEL, seed=1)
         config = tiny_config()
         rng = np.random.default_rng(1)
-        x1, x2, _, _ = tiny_batch(rng)
+        batch = tiny_batch(rng, n_labeled=0)
         before = {name: p.data.copy() for name, p in model.named_params()}
         optimizer = MomentumSGD(model.named_params())
-        bundle = train_step(model, (x1, x2, None, np.zeros(4, dtype=bool)), config, 0, 10, optimizer)
+        bundle = train_step(model, batch, config, 0, lr_at(0, 10, config), optimizer)
         assert bundle.l_supervised == 0.0
         assert bundle.l_overall == pytest.approx(bundle.l_embedd + config.alpha * bundle.l_pred, rel=1e-6)
         changed = sum(
@@ -112,12 +111,12 @@ class TestTrainStep:
 
     def test_swapping_views_leaves_loss_unchanged(self):
         rng = np.random.default_rng(2)
-        x1, x2, labels, mask = tiny_batch(rng)
+        x1, x2, labels = tiny_batch(rng)
         values = []
         for a, b in ((x1, x2), (x2, x1)):
             model = build_model(TINY_MODEL, seed=2)
             views = model.forward_views(a, b)
-            bundle, _ = loss_overall(views, labels, mask, 0.1)
+            bundle, _ = loss_overall(views, labels, 0.1)
             values.append(bundle.l_overall)
         assert abs(values[0] - values[1]) <= 1e-12
 
@@ -133,7 +132,7 @@ class TestTrainStep:
         model = build_model(TINY_MODEL, seed=4)
         config = tiny_config()
         optimizer = MomentumSGD(model.named_params())
-        train_step(model, tiny_batch(np.random.default_rng(4)), config, 0, 10, optimizer)
+        train_step(model, tiny_batch(np.random.default_rng(4)), config, 0, lr_at(0, 10, config), optimizer)
         assert recorded == [42]
 
     def test_weight_decay_shrinks_without_gradient(self):
@@ -272,6 +271,10 @@ class TestFitAndEvaluate:
         with pytest.raises(ValueError, match=match):
             tiny_config(**overrides).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            tiny_config(seed=-1).validate()
+
     def test_optimizer_range_edges_accepted(self):
         tiny_config(alpha=0.0).validate()
 
@@ -408,8 +411,7 @@ class TestImageShape:
         data_root = data_with_one_24px_image(root, bad, tmp_path)
         with pytest.raises(ManifestError, match=re.escape(bad.path)):
             fit(build_model(TINY_MODEL, seed=0), result, tiny_config(), tmp_path / "train", data_root)
-        log = (tmp_path / "train" / "train.log").read_text().splitlines()
-        assert not [line for line in log if line.startswith("step=")]
+        assert not (tmp_path / "train").exists()
 
     def test_wrong_size_test_image_rejected(self, tiny_data, tmp_path):
         root, records = tiny_data
