@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .diffcore import Tape, Tensor, grad_check
-from .losses import LossBundle, dense_similarity, lemma_terms
+from .losses import LossBundle, lemma_terms
 from .model import ModelConfig, ViewOutputs, build_model
 from .trainer import TrainConfig, evaluate, fit
 
@@ -12,7 +12,6 @@ __all__ = [
     "Tensor",
     "grad_check",
     "LossBundle",
-    "dense_similarity",
     "lemma_terms",
     "ModelConfig",
     "ViewOutputs",

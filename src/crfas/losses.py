@@ -8,7 +8,7 @@ shape (s^2, d) is
     DS(H, F) = sum_i sum_j <H_i / |H_i|, F_j / |F_j|>
 
 which factorizes as <sum_i H_i/|H_i|, sum_j F_j/|F_j|>, the O(s^2 * d)
-form used everywhere outside of tests. Its product decomposition
+form `_dense_similarity_mean` computes. Its product decomposition
 sqrt(DS(H,H) * DS(F,F)) * cos(center_H, center_F) is exposed through
 `lemma_terms` for verification.
 
@@ -69,28 +69,6 @@ class LemmaTerms:
 def _normalized_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     return m / np.maximum(norms, NORM_FLOOR)
-
-
-def dense_similarity(h: np.ndarray, f: np.ndarray, reduction: str = "sum") -> float:
-    """Dense similarity between two (s^2, d) row matrices, fast form.
-
-    reduction="sum" returns the full double sum over position pairs;
-    "mean" divides by s^4.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if h.ndim != 2 or f.ndim != 2:
-        raise ShapeError(f"dense_similarity expects 2-D matrices, got {h.shape} and {f.shape}")
-    if h.shape != f.shape:
-        raise ShapeError(f"dense_similarity: shape mismatch {h.shape} vs {f.shape}")
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    sh = _normalized_rows(h).sum(axis=0)
-    sf = _normalized_rows(f).sum(axis=0)
-    value = float(sh @ sf)
-    if reduction == "mean":
-        value /= float(h.shape[0]) ** 2
-    return value
 
 
 def lemma_terms(h: np.ndarray, f: np.ndarray) -> LemmaTerms:

@@ -60,6 +60,29 @@ def conv2d_oracle(x, w, b, stride, padding):
     return out
 
 
+def whole_image_taps(x, w, b, padding):
+    """Unblocked stride-1 forward on a channels-last batch: each tap is one
+    GEMM over the whole flattened padded image; tap 0 assigns, the other
+    taps add in order, and the bias is added last."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    n, hp, wp, cin = xp.shape
+    cout, _, k, _ = w.shape
+    xf = xp.reshape(-1, cin)
+    rows = xf.shape[0] - (k - 1) * (wp + 1)
+    acc = np.zeros((xf.shape[0], cout), dtype=x.dtype)
+    for t in range(k * k):
+        i, j = divmod(t, k)
+        off = i * wp + j
+        term = xf[off : off + rows] @ np.ascontiguousarray(w[:, :, i, j].T)
+        if t == 0:
+            acc[:rows] = term
+        else:
+            acc[:rows] += term
+    if b is not None:
+        acc += b
+    return acc.reshape(n, hp, wp, cout)[:, : hp - k + 1, : wp - k + 1]
+
+
 def maxpool_oracle(x, k):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // k, w // k), dtype=x.dtype)
@@ -108,6 +131,36 @@ class TestConv2d:
         got = nchw(conv2d(Tensor(nhwc(x)), Tensor(w), Tensor(b), stride, padding).data)
         want = conv2d_oracle(x, w, b, stride, padding)
         np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize(
+        "n,side,cin,cout,k",
+        [
+            (32, 24, 16, 16, 3),  # the trend model's b1b
+            (31, 24, 16, 16, 3),  # b1b with one row fewer: unequal blocks
+            (32, 24, 3, 16, 3),  # the trend model's b1a
+            (32, 24, 16, 16, 1),  # 1x1 over many blocks
+            (2, 5, 3, 4, 3),  # one block
+            (2, 5, 3, 4, 1),  # 1x1 in one block
+        ],
+    )
+    def test_forward_bitwise_equals_whole_image_taps(self, dtype, with_bias, n, side, cin, cout, k):
+        padding = k // 2
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((n, side, side, cin)).astype(dtype)
+        w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype) if with_bias else None
+        got = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), 1, padding).data
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, whole_image_taps(x, w, b, padding))
+
+    def test_trend_shape_spans_several_blocks(self):
+        # 24 px, 16 -> 16 channels, N = 32 in f32: the bitwise test above is
+        # vacuous unless this runs in more than one block
+        side, channels = 26, 16 + 16
+        rows = 32 * side * side - 2 * (side + 1)
+        assert rows * channels * np.dtype(np.float32).itemsize > 2 * diffcore.BLOCK_BYTES
 
     def test_linearity(self):
         rng = np.random.default_rng(3)

@@ -21,7 +21,7 @@ from crfas.diffcore import (
 )
 from crfas.losses import (
     DegenerateCenterError,
-    dense_similarity,
+    _dense_similarity_mean,
     lemma_terms,
     loss_embedd,
     loss_overall,
@@ -30,6 +30,17 @@ from crfas.losses import (
 )
 from crfas.model import ViewOutputs
 from crfas.trainer import TrainConfig
+
+
+def taped_similarity(h, f, reduction="sum"):
+    """`_dense_similarity_mean`, the form training computes, forward only on
+    one-row batches whose 1 x s2 maps hold the rows of the (s2, d) matrices;
+    "sum" is the mean times s2 squared."""
+    def as_batch(m):
+        return Tensor(np.reshape(m, (1, 1, *np.shape(m))))
+
+    mean = _dense_similarity_mean(as_batch(h), as_batch(f)).item()
+    return mean * np.shape(h)[0] ** 2 if reduction == "sum" else mean
 
 
 def dense_similarity_double_loop(h, f, reduction="sum"):
@@ -116,13 +127,13 @@ def map_gradients(views, loss_fn):
 class TestDenseSimilarity:
     def test_single_unit_row(self):
         v = np.array([[0.6, 0.8]])
-        assert dense_similarity(v, v, "sum") == pytest.approx(1.0, abs=1e-12)
+        assert taped_similarity(v, v, "sum") == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_alignment_four_rows(self):
         u = np.array([1.0, 0.0, 0.0])
         h = np.tile(u, (4, 1))
-        assert dense_similarity(h, h, "sum") == pytest.approx(16.0, abs=1e-9)
-        assert dense_similarity(h, h, "mean") == pytest.approx(1.0, abs=1e-12)
+        assert taped_similarity(h, h, "sum") == pytest.approx(16.0, abs=1e-9)
+        assert taped_similarity(h, h, "mean") == pytest.approx(1.0, abs=1e-12)
 
     def test_fast_form_equals_double_loop(self):
         rng = np.random.default_rng(0)
@@ -130,7 +141,7 @@ class TestDenseSimilarity:
             h = rng.standard_normal((4, 3))
             f = rng.standard_normal((4, 3))
             for reduction in ("sum", "mean"):
-                fast = dense_similarity(h, f, reduction)
+                fast = taped_similarity(h, f, reduction)
                 slow = dense_similarity_double_loop(h, f, reduction)
                 assert abs(fast - slow) / max(1.0, abs(slow)) < 1e-6
 
@@ -140,16 +151,16 @@ class TestDenseSimilarity:
             for _ in range(25):
                 h = rng.standard_normal((s2, 5))
                 f = rng.standard_normal((s2, 5))
-                assert -1.0 <= dense_similarity(h, f, "mean") <= 1.0
+                assert -1.0 <= taped_similarity(h, f, "mean") <= 1.0
 
     def test_row_scale_invariance(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((5, 4))
         f = rng.standard_normal((5, 4))
-        base = dense_similarity(h, f)
+        base = taped_similarity(h, f)
         scaled = h.copy()
         scaled[2] *= 37.5
-        assert dense_similarity(scaled, f) == pytest.approx(base, rel=1e-12)
+        assert taped_similarity(scaled, f) == pytest.approx(base, rel=1e-12)
 
     def test_negative_row_scale_flips_contribution(self):
         rng = np.random.default_rng(3)
@@ -166,11 +177,11 @@ class TestDenseSimilarity:
 
         assert partial(h) == pytest.approx(partial(flipped), rel=1e-12)
         row1 = sum(float((h[1] / np.linalg.norm(h[1])) @ (f[j] / np.linalg.norm(f[j]))) for j in range(3))
-        assert dense_similarity(flipped, f) == pytest.approx(dense_similarity(h, f) - 2 * row1, rel=1e-9)
+        assert taped_similarity(flipped, f) == pytest.approx(taped_similarity(h, f) - 2 * row1, rel=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            dense_similarity(np.zeros((2, 3)), np.zeros((3, 2)))
+            taped_similarity(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestLemma:
@@ -180,7 +191,7 @@ class TestLemma:
         terms = lemma_terms(h, h)
         assert terms.cosine == pytest.approx(1.0, abs=1e-12)
         assert terms.lhs == pytest.approx(terms.rhs, rel=1e-9)
-        assert terms.lhs == pytest.approx(dense_similarity(h, h), rel=1e-9)
+        assert terms.lhs == pytest.approx(taped_similarity(h, h), rel=1e-9)
 
     def test_orthogonal_centers(self):
         u = np.array([1.0, 0.0])
@@ -250,8 +261,8 @@ class TestLossEmbedd:
             return x[i].reshape(s * s, d)
 
         want = -0.5 * (
-            np.mean([dense_similarity(rows(p1, i), rows(e2, i), "mean") for i in range(n)])
-            + np.mean([dense_similarity(rows(p2, i), rows(e1, i), "mean") for i in range(n)])
+            np.mean([dense_similarity_double_loop(rows(p1, i), rows(e2, i), "mean") for i in range(n)])
+            + np.mean([dense_similarity_double_loop(rows(p2, i), rows(e1, i), "mean") for i in range(n)])
         )
         got = loss_embedd(Tensor(np.concatenate([p1, p2])), Tensor(np.concatenate([e1, e2]))).item()
         assert got == pytest.approx(want, rel=1e-9)
