@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as dat
 from . import losses, trainer
-from .config import from_dict, to_dict
+from .config import from_dict, to_dict, write_config
 from .diffcore import Tensor, grad_check
 from .model import ModelConfig, build_model
 
@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--supervised-only", action="store_true", help="ignore the unlabeled list")
+    p.add_argument("--supervised-only", dest="labeled_fraction_per_batch", action="store_const", const=1.0,
+                   help="set labeled_fraction_per_batch to 1: batches take no unlabeled rows")
     p.add_argument("--dump-views", action="store_true",
                    help="write both views of every row of the first training batch as images")
 
@@ -110,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     cfg = dat.SynthConfig(**_given(args, (field.name for field in dataclasses.fields(dat.SynthConfig))))
     records = dat.generate_synthetic(cfg, args.out)
-    (args.out / "synth_config.json").write_text(json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    write_config(args.out / "synth_config.json", to_dict(cfg))
     print(f"wrote {len(records)} images under {args.out}")
     return 0
 
@@ -121,9 +122,7 @@ def _cmd_split(args) -> int:
     result = dat.split(records, dat.SplitSpec(protocol=args.protocol, params=params))
     provenance = {"protocol": args.protocol, "params": json.dumps(params, sort_keys=True)}
     paths = dat.write_split(result, args.out, provenance)
-    (args.out / "split_config.json").write_text(
-        json.dumps({"protocol": args.protocol, "params": params}, indent=2, sort_keys=True) + "\n"
-    )
+    write_config(args.out / "split_config.json", {"protocol": args.protocol, "params": params})
     for key, records_ in result.lists().items():
         print(f"{key}: {len(records_)} records -> {paths[key]}")
     return 0
@@ -134,11 +133,10 @@ def _cmd_train(args) -> int:
         config = from_dict(trainer.TrainConfig, json.loads(args.config.read_text()))
     else:
         config = trainer.TrainConfig()
-    config = dataclasses.replace(config, **_given(args, ("epochs", "batch_size", "seed", "alpha")))
+    flags = ("epochs", "batch_size", "seed", "alpha", "labeled_fraction_per_batch")
+    config = dataclasses.replace(config, **_given(args, flags))
     config.validate()
     split_result = dat.read_split(args.split_dir)
-    if args.supervised_only:
-        split_result.unlabeled_train = []
     model = build_model(config.model, config.seed)
     batches = trainer.training_batches(split_result, config, args.data_root, model.dtype)
     if args.dump_views:
@@ -161,17 +159,12 @@ def _cmd_eval(args) -> int:
         args.checkpoint, test_records, args.data_root,
         dev_records=dev_records, threshold=args.threshold, out_dir=args.out,
     )
-    (args.out / "eval_config.json").write_text(
-        json.dumps(
-            {
-                "checkpoint": str(args.checkpoint),
-                "test": str(args.test),
-                "dev": str(args.dev) if args.dev is not None else None,
-                "threshold": args.threshold,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
-    )
+    write_config(args.out / "eval_config.json", {
+        "checkpoint": str(args.checkpoint),
+        "test": str(args.test),
+        "dev": str(args.dev) if args.dev is not None else None,
+        "threshold": args.threshold,
+    })
     for key, value in summary.items():
         print(f"{key}={value:.6g}")
     return 0

@@ -6,12 +6,17 @@ or a value of the wrong type: bool fields take only bools, int fields ints
 but not bools, float fields finite ints or floats (JSON `NaN` and
 `Infinity` are rejected). Lists become tuples of the declared element
 type.
+
+`write_config` writes the JSON echo of a run's configuration that each
+command leaves in its output directory.
 """
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import typing
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -20,6 +25,11 @@ class ConfigError(ValueError):
 
 def to_dict(config) -> dict:
     return {f.name: _plain(getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
+def write_config(path: Path, values: dict) -> None:
+    """Write `values` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(values, indent=2, sort_keys=True) + "\n")
 
 
 def _plain(value):

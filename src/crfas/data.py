@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 import numbers
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,6 +121,8 @@ def write_image(path: Path, pixels: np.ndarray) -> None:
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise ValueError(f"expected (H, W, 3) uint8 pixels, got {pixels.shape} {pixels.dtype}")
     h, w = pixels.shape[:2]
+    if not w or not h:
+        raise ValueError(f"cannot write an empty {w}x{h} image")
     with open(path, "wb") as fh:
         fh.write(_IMAGE_MAGIC)
         fh.write(struct.pack("<II", w, h))
@@ -258,6 +261,10 @@ class SynthConfig:
         for name, values in (("attacks", self.attacks), ("datasets", self.datasets)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {list(values)}")
+        # each id names the directory its images go in
+        for d in self.datasets:
+            if not re.fullmatch(r"[A-Za-z0-9_.-]+", d) or d in (".", ".."):
+                raise ValueError(f"datasets must be plain directory names (letters, digits, '_', '-', '.'), got {d!r}")
         if self.subjects < 1 or self.sessions < 1 or self.per_cell < 1 or self.side < 8:
             raise ValueError("counts must be positive and side >= 8")
         if self.seed < 0:

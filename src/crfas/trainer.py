@@ -24,7 +24,7 @@ import numpy as np
 
 from . import losses
 from .augment import AugmentConfig, compose_views
-from .config import ConfigError, from_dict, to_dict
+from .config import ConfigError, from_dict, to_dict, write_config
 from .data import ManifestError, ManifestRecord, SplitResult, load_image
 from .diffcore import DTYPES, Tape, Tensor
 from .metrics import ScoredSample, auc, eer_threshold, error_rates, write_scores, write_summary
@@ -169,45 +169,46 @@ def _batch_layout(split: SplitResult, config: TrainConfig) -> tuple[int, int, in
     return n_lab, config.batch_size - n_lab, max(1, math.ceil(len(split.labeled_train) / n_lab))
 
 
-def _model_image(record: ManifestRecord, data_root: Path, dtype, config: ModelConfig) -> np.ndarray:
-    """Load one record's image; it must have the model's input shape."""
-    image = load_image(record, data_root, dtype)
+def _model_images(records: list[ManifestRecord], data_root: Path, dtype, config: ModelConfig) -> np.ndarray:
+    """Load the records' images as one (n, H, W, C) array; each must have the model's input shape."""
     want = (config.input_size, config.input_size, config.in_channels)
-    if image.shape != want:
-        raise ManifestError(f"{Path(data_root) / record.path}: image is {image.shape}, the model takes {want}")
-    return image
+    images = np.empty((len(records), *want), dtype)
+    for row, record in enumerate(records):
+        image = load_image(record, data_root, dtype)
+        if image.shape != want:
+            raise ManifestError(f"{Path(data_root) / record.path}: image is {image.shape}, the model takes {want}")
+        images[row] = image
+    return images
 
 
 def training_batches(split: SplitResult, config: TrainConfig, data_root: Path, dtype) -> Iterator:
     """The `(x1, x2, labels)` batch of every training step, in order.
 
-    The call loads each image once, at the model's precision `dtype`, and
-    draws each list's row order for the run by `_row_order`; batches then
-    come lazily. A batch holds its labeled rows, then its unlabeled rows, and
-    `labels` one 0 (live) or 1 (spoof) per labeled row. With `k` rows of a
-    list per batch, step `s` takes `order[s * k : (s + 1) * k]`. The two views
-    of the row at `position` in step `step` are keyed on the epoch's seed and
-    `step * batch_size + position`. `fit` trains on exactly these batches,
-    and `crfas train --dump-views` writes the first one.
+    The call loads each image once, at the model's precision `dtype`, into one
+    array: the labeled records, then the unlabeled ones if `_batch_layout` gives
+    them rows. Batches then come lazily, each a gather of its labeled rows, then
+    its unlabeled rows, with `labels` one 0 (live) or 1 (spoof) per labeled row.
+    Step `s` takes `order[s * k : (s + 1) * k]` of each list's `_row_order`, `k`
+    being that list's rows per batch. The two views of the row at `position` in
+    step `step` are keyed on the epoch's seed and `step * batch_size + position`.
+    `fit` trains on exactly these batches; `crfas train --dump-views` writes the first.
     """
     n_lab, n_unl, steps_per_epoch = _batch_layout(split, config)
-    labeled, unlabeled = split.labeled_train, split.unlabeled_train
-    images = {
-        (r.dataset_id, r.path): _model_image(r, data_root, dtype, config.model) for r in (*labeled, *unlabeled)
-    }
+    labeled, unlabeled = split.labeled_train, (split.unlabeled_train if n_unl else [])
+    images = _model_images([*labeled, *unlabeled], data_root, dtype, config.model)
+    spoof = np.array([r.label == "spoof" for r in labeled], dtype=int)
     total_steps = config.epochs * steps_per_epoch
     lab_order = _row_order(len(labeled), total_steps * n_lab, (config.seed, 1))
     unl_order = _row_order(len(unlabeled), total_steps * n_unl, (config.seed, 2))
+    lab_rows = np.array(lab_order, dtype=np.intp).reshape(total_steps, n_lab)
+    unl_rows = np.array(unl_order, dtype=np.intp).reshape(total_steps, n_unl)
+    rows = np.hstack([lab_rows, unl_rows + len(labeled)])
 
     def batch(step: int):
         view_seed = _epoch_seed(config.seed, step // steps_per_epoch)
         first_id = step * config.batch_size
-        rows = [labeled[i] for i in lab_order[step * n_lab : (step + 1) * n_lab]]
-        rows += [unlabeled[i] for i in unl_order[step * n_unl : (step + 1) * n_unl]]
-        stacked = np.stack([images[(r.dataset_id, r.path)] for r in rows])
-        x1, x2 = compose_views(stacked, config.augment, view_seed, range(first_id, first_id + len(rows)))
-        labels = np.array([1 if r.label == "spoof" else 0 for r in rows[:n_lab]])
-        return Tensor(x1), Tensor(x2), labels
+        x1, x2 = compose_views(images[rows[step]], config.augment, view_seed, range(first_id, first_id + config.batch_size))
+        return Tensor(x1), Tensor(x2), spoof[lab_rows[step]]
 
     return map(batch, range(total_steps))
 
@@ -238,7 +239,7 @@ def fit(
     total_steps = config.epochs * steps_per_epoch
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
+    write_config(out_dir / "config.json", to_dict(config))
 
     optimizer = MomentumSGD(model.named_params())
     checkpoint = out_dir / "checkpoint.ckpt"
@@ -264,12 +265,11 @@ _DTYPE_TAGS = {np.dtype(t): tag for tag, t in DTYPES.items()}
 
 
 def _checkpoint_entries(model: SiameseDenseNet):
-    entries = list(model.named_params())
+    entries = [(name, p.data) for name, p in model.named_params()]
     for name, state in model.named_bn_states():
         entries.append((f"{name}.running_mean", state.running_mean))
         entries.append((f"{name}.running_var", state.running_var))
-    # normalize to (name, ndarray)
-    return [(name, t.data if isinstance(t, Tensor) else t) for name, t in entries]
+    return entries
 
 
 def _arch_json(config: ModelConfig) -> str:
@@ -373,7 +373,7 @@ def score_records(model: SiameseDenseNet, records: list[ManifestRecord], data_ro
     samples = []
     for start in range(0, len(records), SCORE_BATCH):
         chunk = records[start : start + SCORE_BATCH]
-        x = Tensor(np.stack([_model_image(r, data_root, model.dtype, model.config) for r in chunk]))
+        x = Tensor(_model_images(chunk, data_root, model.dtype, model.config))
         maps = model.classifier(model.encode(x))
         for r, m in zip(chunk, maps.data):
             samples.append(ScoredSample(score=float(m.mean()), label=r.label, attack_type=r.attack_type, path=r.path))

@@ -124,6 +124,16 @@ def test_synth_flags_override_only_the_fields_given(flags, want, tmp_path, capsy
     assert json.loads((tmp_path / "d" / "synth_config.json").read_text()) == to_dict(want)
 
 
+@pytest.mark.parametrize("dataset", ["..", ".", "ds ", "a/b"])
+def test_synth_rejects_a_dataset_id_that_is_not_a_directory_name(dataset, tmp_path, capsys):
+    # ".." would put the images beside `--out`, "ds " a manifest line that cannot be written
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run(["synth", "--out", str(work / "out"), "--side", "8", "--datasets", dataset]) == 1
+    assert "datasets" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
 def test_split_counts_satisfy_partition(tmp_path, capsys):
     data_dir = tmp_path / "data"
     run(["synth", "--out", str(data_dir), "--subjects", "10", "--side", "16", "--seed", "2"])
@@ -229,6 +239,30 @@ def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsy
         for index, view in enumerate(views.data):
             want = np.clip(np.round(view * 255), 0, 255).astype(np.uint8)
             np.testing.assert_array_equal(read_image(train_dir / f"debug_{tag}_{index:03d}.fimg"), want)
+
+
+def test_supervised_only_run_is_reproduced_by_its_config_json(tmp_path, capsys):
+    # the flag is the config value it sets, so the echoed config replays the run
+    data_dir, split_dir = tmp_path / "data", tmp_path / "split"
+    assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
+    assert run([
+        "split", "--manifest", str(data_dir / "manifest.txt"), "--protocol", "1",
+        "--labeled-pct", "50", "--out", str(split_dir),
+    ]) == 0
+    assert read_manifest(split_dir / "unlabeled.train.txt")
+    config = {
+        "epochs": 1, "batch_size": 4, "seed": 3,
+        "model": {"input_size": 16, "backbone_channels": [4, 6, 6], "feature_side": 2, "embed_dim": 6},
+        "augment": {"psa_grid": 2},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["train", "--split-dir", str(split_dir), "--data-root", str(data_dir)]
+    assert run([*argv, "--out", str(tmp_path / "flag"), "--config", str(tmp_path / "config.json"), "--supervised-only"]) == 0
+    echoed = tmp_path / "flag" / "config.json"
+    assert json.loads(echoed.read_text())["labeled_fraction_per_batch"] == 1.0
+    assert run([*argv, "--out", str(tmp_path / "replay"), "--config", str(echoed)]) == 0
+    for name in ("checkpoint.ckpt", "train.log", "config.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("how", ["config", "flag"])

@@ -92,6 +92,13 @@ class TestImageIO:
         with pytest.raises(ManifestError, match="empty"):
             read_image(tmp_path / "e.fimg")
 
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (0, 0, 3)])
+    def test_empty_image_not_written(self, tmp_path, shape):
+        # the writer refuses what `read_image` would reject
+        with pytest.raises(ValueError, match="empty"):
+            write_image(tmp_path / "e.fimg", np.zeros(shape, dtype=np.uint8))
+        assert not (tmp_path / "e.fimg").exists()
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

@@ -290,6 +290,33 @@ class TestFitAndEvaluate:
             if line.startswith("step="):
                 assert "l_supervised=" in line
 
+    def test_all_labeled_batches_leave_the_unlabeled_list_unread(self, tiny_data, monkeypatch):
+        # at labeled_fraction_per_batch = 1 no batch takes an unlabeled row, so
+        # the list is not loaded and the batches are those of the emptied split
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 0.5}))
+        emptied = split(records, SplitSpec(1, {"label_fraction": 0.5}))
+        emptied.unlabeled_train = []
+        assert result.unlabeled_train
+        config = tiny_config(epochs=2, labeled_fraction_per_batch=1.0)
+        loads = []
+        real_load_image = trainer.load_image
+
+        def counting_load_image(record, *args):
+            loads.append(record.path)
+            return real_load_image(record, *args)
+
+        monkeypatch.setattr(trainer, "load_image", counting_load_image)
+        got = list(trainer.training_batches(result, config, root, np.float32))
+        assert sorted(loads) == sorted(r.path for r in result.labeled_train)
+        want = list(trainer.training_batches(emptied, config, root, np.float32))
+        assert len(got) == len(want) == 2 * math.ceil(len(result.labeled_train) / config.batch_size)
+        for (x1, x2, labels), (w1, w2, w_labels) in zip(got, want):
+            np.testing.assert_array_equal(x1.data, w1.data)
+            np.testing.assert_array_equal(x2.data, w2.data)
+            np.testing.assert_array_equal(labels, w_labels)
+            assert len(labels) == config.batch_size
+
     def test_loss_log_line_format(self, tiny_data, tmp_path):
         root, records = tiny_data
         result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
