@@ -1,13 +1,12 @@
 """Command-line entry point: synth, split, train, eval, gradcheck, lemmacheck.
 
 Exit codes: 0 success, 1 runtime failure (one-line reason on stderr),
-2 usage errors. Flags override config-file fields. Every command echoes
-its effective configuration into its output directory.
+2 usage errors. Flags override config-file fields and are decoded as they are.
+Every command echoes its effective configuration into its output directory.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
@@ -40,16 +39,16 @@ def _percent(text: str) -> float:
     return float(text) / 100.0
 
 
-def _given(args, names) -> dict:
-    """The flags among `names` that were given; a flag left out keeps its default."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+def _given(args, *own) -> dict:
+    """The flags given, other than the command's `own` ones; a flag left out keeps its default."""
+    return {name: value for name, value in vars(args).items() if name not in ("verb", *own) and value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crfas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    # each flag's dest is its SynthConfig field; flags left out keep the field's default
+    # past --out, each flag's dest is its SynthConfig field
     p = sub.add_parser("synth", help="generate the synthetic live/spoof dataset")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--subjects", type=int)
@@ -79,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-dir", required=True, type=Path, help="directory written by the split command")
     p.add_argument("--data-root", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--config", type=Path, help="JSON train config; flags below override its fields")
+    p.add_argument("--config", type=Path, help="JSON train config; flags below override its fields of the same name")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
@@ -109,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = dat.SynthConfig(**_given(args, (field.name for field in dataclasses.fields(dat.SynthConfig))))
+    cfg = from_dict(dat.SynthConfig, _given(args, "out"))
     records = dat.generate_synthetic(cfg, args.out)
     write_config(args.out / "synth_config.json", to_dict(cfg))
     print(f"wrote {len(records)} images under {args.out}")
@@ -118,7 +117,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_split(args) -> int:
     records = dat.read_manifest(args.manifest)
-    params = _given(args, (name for name in vars(args) if name not in ("verb", "manifest", "protocol", "out")))
+    params = _given(args, "manifest", "protocol", "out")
     result = dat.split(records, dat.SplitSpec(protocol=args.protocol, params=params))
     provenance = {"protocol": args.protocol, "params": json.dumps(params, sort_keys=True)}
     paths = dat.write_split(result, args.out, provenance)
@@ -129,12 +128,10 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.config is not None:
-        config = from_dict(trainer.TrainConfig, json.loads(args.config.read_text()))
-    else:
-        config = trainer.TrainConfig()
-    flags = ("epochs", "batch_size", "seed", "alpha", "labeled_fraction_per_batch")
-    config = dataclasses.replace(config, **_given(args, flags))
+    values = json.loads(args.config.read_text()) if args.config is not None else {}
+    if isinstance(values, dict):  # otherwise from_dict rejects the file as it stands
+        values.update(_given(args, "split_dir", "data_root", "out", "config", "dump_views"))
+    config = from_dict(trainer.TrainConfig, values)
     config.validate()
     split_result = dat.read_split(args.split_dir)
     model = build_model(config.model, config.seed)

@@ -258,6 +258,8 @@ class SynthConfig:
         for a in self.attacks:
             if a == "none" or a not in ATTACK_TYPES:
                 raise ValueError(f"bad attack type {a!r}")
+        if not self.datasets:
+            raise ValueError("datasets must name at least one dataset")
         for name, values in (("attacks", self.attacks), ("datasets", self.datasets)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {list(values)}")

@@ -113,8 +113,8 @@ class ConvBNBlock:
     def eval(self, x: Tensor) -> Tensor:
         weight, bias = diffcore.fold_batchnorm(self.conv.weight, self.gamma, self.beta, self.state)
         out = diffcore.conv2d(x, weight, bias, self.conv.stride, self.conv.padding)
-        if self.with_relu:
-            out = diffcore.relu(out)
+        if self.with_relu:  # in place on the convolution's fresh output, as training's fused BN+ReLU
+            np.maximum(out.data, 0, out=out.data)
         return diffcore.maxpool2d(out) if self.pool else out
 
     def named_params(self, prefix: str):

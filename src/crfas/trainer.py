@@ -59,9 +59,8 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # written so that NaN fails it
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:  # NaN fails it too
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         self.model.validate()
         self.augment.validate(self.model.input_size)
 
@@ -232,6 +231,8 @@ def fit(
     images are not loaded a second time.
     """
     config.validate()
+    if model.config != config.model:
+        raise ValueError(f"model is built from {model.config}, but config.model is {config.model}")
     _retain_heap()
     if batches is None:
         batches = training_batches(split, config, data_root, model.dtype)

@@ -1,4 +1,6 @@
 """End-to-end command-line tests."""
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 
 import crfas
 from crfas import trainer
-from crfas.cli import run
+from crfas.cli import _build_parser, run
 from crfas.config import to_dict
 from crfas.data import SynthConfig, read_image, read_manifest
 from crfas.model import ModelConfig, build_model
@@ -124,9 +126,10 @@ def test_synth_flags_override_only_the_fields_given(flags, want, tmp_path, capsy
     assert json.loads((tmp_path / "d" / "synth_config.json").read_text()) == to_dict(want)
 
 
-@pytest.mark.parametrize("dataset", ["..", ".", "ds ", "a/b"])
+@pytest.mark.parametrize("dataset", ["..", ".", "ds ", "a/b", ""])
 def test_synth_rejects_a_dataset_id_that_is_not_a_directory_name(dataset, tmp_path, capsys):
-    # ".." would put the images beside `--out`, "ds " a manifest line that cannot be written
+    # ".." would put the images beside `--out`, "ds " a manifest line that cannot be written,
+    # "" no dataset at all
     work = tmp_path / "work"
     work.mkdir()
     assert run(["synth", "--out", str(work / "out"), "--side", "8", "--datasets", dataset]) == 1
@@ -241,8 +244,17 @@ def test_dump_views_writes_the_first_training_batch(tmp_path, monkeypatch, capsy
             np.testing.assert_array_equal(read_image(train_dir / f"debug_{tag}_{index:03d}.fimg"), want)
 
 
-def test_supervised_only_run_is_reproduced_by_its_config_json(tmp_path, capsys):
-    # the flag is the config value it sets, so the echoed config replays the run
+@pytest.mark.parametrize(
+    "flag, field, value",
+    [(["--epochs", "2"], "epochs", 2),
+     (["--batch-size", "6"], "batch_size", 6),
+     (["--seed", "5"], "seed", 5),
+     (["--alpha", "0.3"], "alpha", 0.3),
+     (["--supervised-only"], "labeled_fraction_per_batch", 1.0)],
+    ids=["epochs", "batch-size", "seed", "alpha", "supervised-only"],
+)
+def test_supervised_only_run_is_reproduced_by_its_config_json(flag, field, value, tmp_path, capsys):
+    # each flag is the config value it sets, so the echoed config replays the run
     data_dir, split_dir = tmp_path / "data", tmp_path / "split"
     assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
     assert run([
@@ -257,16 +269,17 @@ def test_supervised_only_run_is_reproduced_by_its_config_json(tmp_path, capsys):
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
     argv = ["train", "--split-dir", str(split_dir), "--data-root", str(data_dir)]
-    assert run([*argv, "--out", str(tmp_path / "flag"), "--config", str(tmp_path / "config.json"), "--supervised-only"]) == 0
+    assert run([*argv, "--out", str(tmp_path / "flag"), "--config", str(tmp_path / "config.json"), *flag]) == 0
     echoed = tmp_path / "flag" / "config.json"
-    assert json.loads(echoed.read_text())["labeled_fraction_per_batch"] == 1.0
+    assert json.loads(echoed.read_text())[field] == value
     assert run([*argv, "--out", str(tmp_path / "replay"), "--config", str(echoed)]) == 0
     for name in ("checkpoint.ckpt", "train.log", "config.json"):
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("how", ["config", "flag"])
-def test_nan_alpha_rejected_before_any_output(tmp_path, capsys, how):
+def test_nan_alpha_rejected_before_any_output(tmp_path, capsys, how, value):
     data_dir, split_dir, train_dir = tmp_path / "data", tmp_path / "split", tmp_path / "train"
     assert run(["synth", "--out", str(data_dir), "--subjects", "6", "--side", "16", "--seed", "4"]) == 0
     assert run([
@@ -279,15 +292,39 @@ def test_nan_alpha_rejected_before_any_output(tmp_path, capsys, how):
         "augment": {"psa_grid": 2},
     }
     if how == "config":
-        config["alpha"] = float("nan")
+        config["alpha"] = float(value)
     (tmp_path / "config.json").write_text(json.dumps(config))
     argv = [
         "train", "--split-dir", str(split_dir), "--data-root", str(data_dir),
         "--out", str(train_dir), "--config", str(tmp_path / "config.json"),
     ]
-    assert run(argv + (["--alpha", "nan"] if how == "flag" else [])) == 1
+    assert run(argv + (["--alpha", value] if how == "flag" else [])) == 1
     assert "alpha" in capsys.readouterr().err
-    assert not (train_dir / "config.json").exists() and not (train_dir / "train.log").exists()
+    assert not train_dir.exists()
+
+
+def test_train_config_that_is_not_an_object_rejected_with_flags_given(tmp_path, capsys):
+    # the flags merge into the file's object; a file that holds no object is refused as it stands
+    (tmp_path / "config.json").write_text("[1]")
+    assert run([
+        "train", "--split-dir", str(tmp_path / "split"), "--data-root", str(tmp_path / "data"),
+        "--out", str(tmp_path / "train"), "--config", str(tmp_path / "config.json"), "--epochs", "1",
+    ]) == 1
+    assert "TrainConfig must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, config_cls, own",
+    [("synth", SynthConfig, {"out"}),
+     ("train", trainer.TrainConfig, {"split_dir", "data_root", "out", "config", "dump_views"})],
+)
+def test_every_settings_flag_is_a_config_field(verb, config_cls, own):
+    # the command decodes every flag past its own with from_dict, so each dest must be a field
+    (verbs,) = [action for action in _build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    dests = {action.dest for action in verbs.choices[verb]._actions} - {"help"}
+    assert own <= dests
+    assert dests - own <= {field.name for field in dataclasses.fields(config_cls)}
 
 
 def test_nan_threshold_rejected_before_any_output(tmp_path, capsys):

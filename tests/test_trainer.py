@@ -1,4 +1,5 @@
 """Trainer tests: schedule, SGD, step semantics, determinism, checkpoints."""
+import dataclasses
 import json
 import math
 import re
@@ -251,6 +252,15 @@ class TestFitAndEvaluate:
         with pytest.raises(ValueError, match="labeled_train"):
             fit(model, result, tiny_config(), tmp_path / "x", root)
 
+    def test_model_that_config_does_not_describe_rejected_before_any_output(self, tiny_data, tmp_path):
+        # config.json must describe the model that trained, so a mismatch is refused
+        root, records = tiny_data
+        result = split(records, SplitSpec(1, {"label_fraction": 1.0}))
+        model = build_model(dataclasses.replace(TINY_MODEL, embed_dim=8), seed=0)
+        with pytest.raises(ValueError, match="config.model"):
+            fit(model, result, tiny_config(), tmp_path / "x", root)
+        assert not (tmp_path / "x").exists()
+
     def test_bad_augment_config_rejected_before_any_output(self, tiny_data, tmp_path):
         # validation runs before fit writes anything, not at the first batch
         root, records = tiny_data
@@ -265,6 +275,7 @@ class TestFitAndEvaluate:
         [
             ({"alpha": -0.1}, "alpha"),
             ({"alpha": math.nan}, "alpha"),
+            ({"alpha": math.inf}, "alpha"),
         ],
     )
     def test_out_of_range_optimizer_fields_rejected(self, overrides, match):
